@@ -41,6 +41,7 @@ from .serialize import (
     write_trajectory_csv,
 )
 from .spectral import (
+    SOLVERS,
     WeightField,
     principal_eigenpair,
     signed_spectrum,
@@ -184,6 +185,8 @@ def parse_config(text: str) -> RunConfig:
             raise errors.ValidationError(
                 "bang-bang values must satisfy positive_value > 0 > "
                 "negative_value")
+        if not np.isfinite([pos, neg, frac]).all():
+            raise errors.ValidationError("bang-bang values must be finite")
         mean = frac * pos + (1.0 - frac) * neg
         if mean >= 0:
             raise errors.ValidationError(
@@ -193,21 +196,30 @@ def parse_config(text: str) -> RunConfig:
                       positive_fraction=frac)
     elif w_kind == "explicit":
         values = [float(v) for v in _require(weight, "values", "weight")]
+        if not np.isfinite(values).all():
+            raise errors.ValidationError(
+                "explicit weight values must be finite")
         weight["values"] = values
     elif w_kind == "profile":
         _require(weight, "path", "weight")
     else:
         raise errors.ValidationError(f"unknown weight kind {w_kind!r}")
 
+    sections = {name: dict(doc.get(name, {}))
+                for name in ("solve", "optimize", "rearrange", "simulate")}
+    for name in ("solve", "optimize"):
+        solver = sections[name].get("solver", "dense")
+        if solver not in SOLVERS:
+            raise errors.ValidationError(
+                f"{name}.solver must be one of {', '.join(SOLVERS)}, "
+                f"got {solver!r}")
+
     return RunConfig(
         domain_kind=kind,
         extents=extents,
         shape=shape,
         weight=weight,
-        solve=dict(doc.get("solve", {})),
-        optimize=dict(doc.get("optimize", {})),
-        rearrange=dict(doc.get("rearrange", {})),
-        simulate=dict(doc.get("simulate", {})),
+        **sections,
         output_dir=str(doc.get("output_dir", "out")),
     )
 

@@ -46,7 +46,7 @@ class TooLarge(EigenweightError):
 
 
 class SingularSystem(EigenweightError):
-    """Saddle factorization failed; internal error on connected grids."""
+    """Eigensolver returned an invalid principal pair; internal error."""
 
 
 class IterationLimit(EigenweightError):

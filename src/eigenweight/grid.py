@@ -9,6 +9,10 @@ multi-index (i1, ..., iN) has flat index
 Lines of cells along the first axis are therefore contiguous ranges of flat
 indices, which keeps first-axis rearrangements cache-friendly and lets 2D
 field files open directly as heatmap matrices (one row per line).
+
+Because the grids are uniform, the orthonormal DCT-II along each axis
+diagonalizes the stiffness matrix exactly (``dct_eigenvalues``); the
+spectral and logistic solvers work in that basis.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 
 from .errors import InvalidSpec, LengthMismatch
@@ -194,6 +199,36 @@ def assemble_stiffness(grid: Grid) -> StiffnessMatrix:
         K = K + axis_stiffness(grid, a)
     K = ((K + K.T) * 0.5).tocsr()  # enforce exact symmetry
     return StiffnessMatrix(size=grid.n_cells, entries=K)
+
+
+@lru_cache(maxsize=32)
+def dct_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of the stiffness matrix in the orthonormal DCT-II basis.
+
+    On a uniform grid the DCT-II along each axis diagonalizes the 1D
+    Neumann difference D^T D with eigenvalues 2 - 2 cos(pi k / n), so K is
+    diagonal in the tensor-product basis with eigenvalues summed over axes,
+    each scaled by its face weight.  The array has layout shape[::-1] (the
+    layout of ``to_dct``); entry [0, ..., 0] is the constant mode, exactly 0.
+    """
+    lam = np.zeros(grid.shape[::-1])
+    for a, n in enumerate(grid.shape):
+        face_weight = float(np.prod(grid.spacing)) / grid.spacing[a] ** 2
+        k = np.arange(n)
+        axis_vals = face_weight * (2.0 - 2.0 * np.cos(np.pi * k / n))
+        lam += axis_vals.reshape((n,) + (1,) * a)
+    lam.setflags(write=False)
+    return lam
+
+
+def to_dct(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II coefficients of a cell field, layout shape[::-1]."""
+    return scipy.fft.dctn(f.reshape(grid.shape[::-1]), norm="ortho")
+
+
+def from_dct(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Inverse of ``to_dct``: the cell field in flat order."""
+    return scipy.fft.idctn(c, norm="ortho").ravel()
 
 
 def as_field(grid: Grid, f) -> np.ndarray:

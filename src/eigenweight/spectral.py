@@ -12,21 +12,26 @@ equipped with the stiffness (Dirichlet) inner product <f, g> = f^T K g.
 
 The dense path restricts the pencil (W diag(m), K) to V_m through an
 orthonormal basis and is the oracle of record up to ``DENSE_CELL_LIMIT``
-cells.  The iterative path of record is Lanczos on the solution operator
-in the stiffness inner product, which resolves the largest positive
-eigenvalue even when the negative side dominates in magnitude and the
-positive side clusters; a shifted power method is kept as a secondary
-path for well-separated spectra.
+cells.  The iterative path uses that the orthonormal DCT-II diagonalizes K
+exactly on these uniform grids, K = C^T Lambda C.  With q = W m and
+P = I - 1 q^T / int m, which maps the non-constant fields onto V_m without
+changing their energy, the Rayleigh quotient on V_m becomes the symmetric
+operator
+
+    S = Lambda^{-1/2} C (diag(q) - q q^T / int m) C^T Lambda^{-1/2}
+
+on the non-constant DCT modes; ARPACK (``eigsh``) finds its largest
+eigenvalue mu1 at two transforms per apply, and the eigenfunction is
+u = P C^T Lambda^{-1/2} y.  The solution operator is P K^+ P^T (diag(q) f)
+through the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -36,18 +41,24 @@ from .errors import (
     NotAdmissible,
     SingularSystem,
     TooLarge,
+    ValidationError,
     ZeroWeightIntegral,
 )
-from .grid import Grid, as_field, assemble_stiffness, integrate
+from .grid import (
+    Grid,
+    as_field,
+    assemble_stiffness,
+    dct_eigenvalues,
+    from_dct,
+    integrate,
+    to_dct,
+)
 
 #: above this cell count the dense pencil is refused (TooLarge)
 DENSE_CELL_LIMIT = 6000
 
-#: cap on operator applications for the iterative eigensolvers
-POWER_ITERATION_CAP = 10_000
-
-#: Lanczos basis size between restarts
-_LANCZOS_BASIS = 250
+#: eigensolver paths accepted by ``principal_eigenpair``
+SOLVERS = ("dense", "iterative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +79,13 @@ class WeightField:
 
 
 def weight_field(grid: Grid, values) -> WeightField:
-    """Wrap per-cell weight values, caching integral and admissibility."""
+    """Wrap per-cell weight values, caching integral and admissibility.
+
+    Raises ValidationError when a value is NaN or infinite.
+    """
     values = as_field(grid, values).copy()
+    if not np.isfinite(values).all():
+        raise ValidationError("weight values must be finite")
     values.setflags(write=False)
     total = integrate(grid, values)
     has_pos = bool(np.any(values > 0))
@@ -132,44 +148,30 @@ def project_mean_zero(m: WeightField, f) -> np.ndarray:
     return f - (q @ f) / m.integral
 
 
-@lru_cache(maxsize=64)
-def _saddle_solver(m: WeightField):
-    """Saddle matrix [[K, Wm], [Wm^T, 0]] and its LU, shared across solves.
-
-    Cached per weight object; concurrent use with distinct weights does
-    not serialize beyond the cache dictionary access.
-    """
-    K = assemble_stiffness(m.grid).entries
-    q = _weighted_values(m)
-    n = m.grid.n_cells
-    saddle = sp.bmat(
-        [[K, q.reshape(n, 1)], [q.reshape(1, n), None]], format="csc")
-    try:
-        return saddle, spla.splu(saddle)
-    except RuntimeError as exc:  # pragma: no cover - connected grids only
-        raise SingularSystem(f"saddle factorization failed: {exc}") from exc
+def _mode_scale(grid: Grid, exponent: float) -> np.ndarray:
+    """Lambda^exponent on the non-constant DCT modes; 0 on the constant."""
+    lam = dct_eigenvalues(grid)
+    out = np.zeros_like(lam)
+    out.flat[1:] = lam.flat[1:] ** exponent
+    return out
 
 
 def solution_operator(m: WeightField, f) -> np.ndarray:
     """Apply the constrained solution operator of the zero-flux problem.
 
     For f in V_m, returns the unique u in V_m with
-    u^T K phi = sum_i w_i m_i f_i phi_i for every phi in V_m, computed
-    from the saddle system with the constraint vector W m.  One step of
-    iterative refinement keeps the backward error near roundoff.
+    u^T K phi = sum_i w_i m_i f_i phi_i for every phi in V_m, computed as
+    P K^+ P^T (W m f): P^T removes the Lagrange component along W m so the
+    right-hand side is mean zero, and K^+ is a division in the DCT basis.
     """
     if m.integral == 0.0:
         raise ZeroWeightIntegral("weight integrates to zero")
     f = as_field(m.grid, f)
-    n = m.grid.n_cells
-    rhs = np.empty(n + 1)
-    rhs[:n] = m.grid.cell_measures * m.values * f
-    rhs[n] = 0.0
-    saddle, lu = _saddle_solver(m)
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - saddle @ x)
-    # clean residual drift off the constraint
-    return project_mean_zero(m, x[:n])
+    q = _weighted_values(m)
+    g = q * f
+    g -= q * (g.sum() / m.integral)
+    u = from_dct(m.grid, to_dct(m.grid, g) * _mode_scale(m.grid, -1.0))
+    return project_mean_zero(m, u)
 
 
 def _vm_basis(m: WeightField) -> np.ndarray:
@@ -239,133 +241,37 @@ def _check_admissible(m: WeightField) -> None:
         raise NoPositivePart("weight is nonpositive everywhere")
 
 
-def _power_start(m: WeightField) -> np.ndarray:
-    """Deterministic start vector in V_m, generic against grid symmetries.
+def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
+    """Largest eigenvalue of S (module docstring) by ARPACK.
 
-    A coordinate-based start can be exactly orthogonal to the principal
-    eigenspace of a symmetric weight, so use a fixed-seed random vector;
-    the same inputs always produce the same start.
+    S acts on all DCT coefficients with the constant mode zeroed, which
+    only adds the eigenvalue 0 below mu1 > 0.  The start vector is a
+    fixed-seed random vector, generic against grid symmetries, so the
+    same inputs always produce the same eigenpair.
     """
-    rng = np.random.default_rng(0x5EED)
-    f = project_mean_zero(m, rng.standard_normal(m.grid.n_cells))
-    norm = np.linalg.norm(f)
-    if norm == 0.0:  # pragma: no cover - random vectors are nonconstant
-        raise SingularSystem("degenerate start vector")
-    return f / norm
+    grid = m.grid
+    n = grid.n_cells
+    q = _weighted_values(m)
+    scale = _mode_scale(grid, -0.5)
 
+    def to_vm(y):
+        return project_mean_zero(
+            m, from_dct(grid, y.reshape(scale.shape) * scale))
 
-def _lanczos_iteration(m: WeightField, tol: float) -> EigenPair:
-    """Lanczos on the solution operator in the stiffness inner product.
+    def matvec(y):
+        return (to_dct(grid, q * to_vm(y)) * scale).ravel()
 
-    The operator is self-adjoint in <f, g> = f^T K g on V_m, so a Lanczos
-    recurrence with K-inner products builds a tridiagonal whose largest
-    Ritz value converges to mu1 from below; no spectral shift is needed
-    because Lanczos resolves both ends of the spectrum at once.  Full
-    reorthogonalization keeps the basis clean; the basis is restarted
-    from the current Ritz vector when it grows past ``_LANCZOS_BASIS``.
-    """
-    K = assemble_stiffness(m.grid).entries
-    d = _weighted_values(m)
-    n = m.grid.n_cells
-    max_basis = min(_LANCZOS_BASIS, n - 1)
-
-    v = _power_start(m)
-    z = K @ v
-    v = v / np.sqrt(v @ z)
-    applies = 0
-    theta = None
-    while applies < POWER_ITERATION_CAP:
-        V = [v]
-        Z = [K @ v]
-        alphas: list = []
-        betas: list = []
-        while len(V) <= max_basis and applies < POWER_ITERATION_CAP:
-            w = project_mean_zero(m, solution_operator(m, V[-1]))
-            applies += 1
-            alphas.append(float(w @ Z[-1]))
-            # full reorthogonalization, two passes
-            for _ in range(2):
-                for vb, zb in zip(V, Z):
-                    w = w - (w @ zb) * vb
-            zw = K @ w
-            beta = float(np.sqrt(max(w @ zw, 0.0)))
-            evals, evecs = scipy.linalg.eigh_tridiagonal(
-                np.array(alphas), np.array(betas))
-            theta = float(evals[-1])
-            scale = max(abs(evals[0]), abs(evals[-1]), 1e-300)
-            residual = beta * abs(evecs[-1, -1])
-            if residual <= tol * scale or beta <= 1e-14 * scale:
-                u = np.column_stack(V) @ evecs[:, -1]
-                if theta <= 0:
-                    raise SingularSystem(
-                        "iterative solver converged to a nonpositive "
-                        "eigenvalue")
-                return _finalize_eigenpair(m, theta, u)
-            betas.append(beta)
-            V.append(w / beta)
-            Z.append(zw / beta)
-        # restart from the best Ritz vector
-        evals, evecs = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas[:-1]))
-        v = np.column_stack(V[:-1]) @ evecs[:, -1]
-        v = project_mean_zero(m, v)
-        z = K @ v
-        v = v / np.sqrt(v @ z)
-    raise IterationLimit(
-        f"Lanczos did not converge within {POWER_ITERATION_CAP} operator "
-        f"applications")
-
-
-def _power_iteration(m: WeightField, tol: float) -> EigenPair:
-    """Shifted power iteration on the solution operator.
-
-    The largest positive eigenvalue mu1 need not dominate in magnitude,
-    so the iteration runs on G + sigma*I with sigma above the magnitude
-    of the most negative eigenvalue, estimated from a short unshifted
-    power run.  Converges slowly when the positive spectrum clusters;
-    the Lanczos path is preferred.
-    """
-    K = assemble_stiffness(m.grid).entries
-    d = _weighted_values(m)
-
-    def k_norm(g):
-        return float(np.sqrt(max(g @ (K @ g), 0.0)))
-
-    # short run to estimate the dominant magnitude of the unshifted operator
-    f = _power_start(m)
-    f /= k_norm(f)
-    rho = 0.0
-    for _ in range(50):
-        g = solution_operator(m, f)
-        rho = float(f @ (d * f))
-        norm = k_norm(g)
-        if norm == 0.0:
-            break
-        f = g / norm
-    sigma = 1.1 * abs(rho) + 1e-12
-
-    f = _power_start(m)
-    f /= k_norm(f)
-    mu = float(f @ (d * f))
-    for it in range(POWER_ITERATION_CAP):
-        g = solution_operator(m, f) + sigma * f
-        g = project_mean_zero(m, g)
-        norm = k_norm(g)
-        if norm == 0.0:
-            raise SingularSystem("power iteration collapsed to zero")
-        f = g / norm
-        mu_new = float(f @ (d * f))
-        if abs(mu_new - mu) < tol * max(1.0, abs(mu_new)):
-            mu = mu_new
-            break
-        mu = mu_new
-    else:
-        raise IterationLimit(
-            f"power iteration did not converge in {POWER_ITERATION_CAP} steps")
-    if mu <= 0:
+    S = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(0x5EED).standard_normal(n)
+    try:
+        vals, vecs = spla.eigsh(S, k=1, which="LA", tol=tol, v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
+    mu1 = float(vals[0])
+    if mu1 <= 0:
         raise SingularSystem(
-            "power iteration converged to a nonpositive eigenvalue")
-    return _finalize_eigenpair(m, mu, f)
+            "iterative solver converged to a nonpositive eigenvalue")
+    return _finalize_eigenpair(m, mu1, to_vm(vecs[:, 0]))
 
 
 def principal_eigenpair(m: WeightField, solver: str = "dense",
@@ -374,9 +280,8 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
 
     Requires an admissible weight (negative integral, positive part of
     positive measure).  ``solver`` selects the dense V_m-restricted pencil
-    (the oracle path, refused above ``DENSE_CELL_LIMIT`` cells), the
-    Lanczos iteration ("iterative") or the shifted power method ("power",
-    adequate only for well-separated spectra); all paths return the
+    (the oracle path, refused above ``DENSE_CELL_LIMIT`` cells) or ARPACK
+    on the DCT kernel ("iterative", no size cap); both paths return the
     eigenfunction normalized by u^T K u = 1 with the sign fixed positive.
     """
     _check_admissible(m)
@@ -387,9 +292,7 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
             raise NoPositivePart("pencil has no positive eigenvalue")
         return _finalize_eigenpair(m, mu1, vecs[:, -1])
     if solver == "iterative":
-        return _lanczos_iteration(m, tol)
-    if solver == "power":
-        return _power_iteration(m, tol)
+        return _dct_iteration(m, tol)
     raise ValueError(f"unknown solver {solver!r}")
 
 
@@ -426,15 +329,16 @@ def rayleigh_quotient(m: WeightField, f) -> float:
     return num / den
 
 
-def mu1_derivative(m: WeightField, v) -> float:
+def mu1_derivative(m: WeightField, v, solver: str = "dense") -> float:
     """Directional derivative of mu1 at m: the v-weighted mass of u^2.
 
     With the eigenfunction normalization u^T K u = 1 the derivative in
     direction v is sum_i w_i u_i^2 v_i; in particular the derivative in
-    direction m recovers mu1 itself (degree-1 homogeneity).
+    direction m recovers mu1 itself (degree-1 homogeneity).  ``solver`` is
+    passed to ``principal_eigenpair``.
     """
     v = as_field(m.grid, v)
-    pair = principal_eigenpair(m)
+    pair = principal_eigenpair(m, solver=solver)
     return float((m.grid.cell_measures * pair.u ** 2) @ v)
 
 

@@ -158,6 +158,28 @@ class TestMainExitCodes:
         assert main(["solve", "--config", str(bad), "--quiet",
                      "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("section,solver", [
+        ("solve", "lanczos"), ("solve", "power"), ("optimize", "power")])
+    def test_unknown_solver_exit_3(self, tmp_path, capsys, section, solver):
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(config_text(**{section: {"solver": solver}}))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{section}.solver" in err and "dense, iterative" in err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_explicit_weight_exit_3(self, tmp_path, capsys, bad):
+        # JSON as written by Python accepts NaN and Infinity literals
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(config_text(
+            domain={"type": "interval", "extents": [1.0], "shape": [16]},
+            weight={"kind": "explicit",
+                    "values": [1.0, 1.0, bad] + [-2.0] * 13}))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "finite" in capsys.readouterr().err
+
     def test_solve_ok_exit_0(self, tmp_path):
         cfg = tmp_path / "ok.json"
         cfg.write_text(config_text())

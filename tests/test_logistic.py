@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from eigenweight import (
     InvalidSpec,
     NegativeInitial,
     UnstableStep,
+    assemble_stiffness,
     build_grid,
     principal_eigenpair,
     simulate_logistic,
     weight_field,
 )
+from eigenweight.logistic import _implicit_diffusion
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +23,23 @@ def setup_1d():
     m = weight_field(grid, np.where(x < 0.5, 1.0, -3.0))
     lam1 = principal_eigenpair(m).lambda1
     return grid, m, lam1
+
+
+@pytest.mark.parametrize("kind,extents,shape", [
+    ("interval", [1.0], [7]),
+    ("rectangle", [2.0, 1.0], [6, 5]),
+    ("box", [1.0, 0.7, 1.3], [4, 3, 5]),
+])
+def test_diffusion_solve_matches_sparse(kind, extents, shape):
+    grid = build_grid(kind, extents, shape)
+    rng = np.random.default_rng(7)
+    A = (sp.diags(grid.cell_measures) / 0.013
+         + assemble_stiffness(grid).entries).tocsc()
+    for _ in range(5):
+        rhs = rng.standard_normal(grid.n_cells)
+        ref = spla.spsolve(A, rhs)
+        got = _implicit_diffusion(grid, 0.013, rhs)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_zero_initial_stays_zero(setup_1d):

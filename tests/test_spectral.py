@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from eigenweight import (
     ConstantField,
+    IterationLimit,
     NoPositivePart,
     NotAdmissible,
+    ValidationError,
     ZeroWeightIntegral,
     assemble_stiffness,
     build_grid,
@@ -17,7 +20,15 @@ from eigenweight import (
     solution_operator,
     weight_field,
 )
+from eigenweight.grid import dct_eigenvalues, to_dct
 from oracles import random_admissible, two_phase_lambda1
+
+#: (kind, extents, shape) of anisotropic grids with odd cell counts
+ODD_GRIDS = [
+    ("interval", [1.0], [7]),
+    ("rectangle", [2.0, 1.0], [6, 5]),
+    ("box", [1.0, 0.7, 1.3], [4, 3, 5]),
+]
 
 
 def weights(grid, values):
@@ -159,12 +170,8 @@ class TestPrincipalEigenpair:
         for _ in range(5):
             m = weights(interval64, random_admissible(rng, 64))
             dense = principal_eigenpair(m, solver="dense")
-            lanczos = principal_eigenpair(m, solver="iterative")
-            power = principal_eigenpair(m, solver="power")
-            assert abs(lanczos.mu1 - dense.mu1) <= 1e-9 * dense.mu1
-            # the power method's increment-based stop under-delivers on
-            # clustered spectra; it is kept as a secondary path only
-            assert abs(power.mu1 - dense.mu1) <= 1e-6 * dense.mu1
+            iterative = principal_eigenpair(m, solver="iterative")
+            assert abs(iterative.mu1 - dense.mu1) <= 1e-9 * dense.mu1
 
     def test_iterative_2d_symmetric_weight(self):
         # weight constant along the first axis: a symmetry that can trap
@@ -173,8 +180,8 @@ class TestPrincipalEigenpair:
         i2 = np.arange(grid.n_cells) // 16
         m = weights(grid, np.where(i2 < 2, 1.0, -2.0))
         dense = principal_eigenpair(m, solver="dense")
-        lanczos = principal_eigenpair(m, solver="iterative")
-        assert abs(lanczos.mu1 - dense.mu1) <= 1e-9 * dense.mu1
+        iterative = principal_eigenpair(m, solver="iterative")
+        assert abs(iterative.mu1 - dense.mu1) <= 1e-9 * dense.mu1
 
     def test_3d_matches_1d_for_separable_weight(self):
         # a weight depending only on x1 separates: the box eigenvalue
@@ -210,6 +217,55 @@ class TestPrincipalEigenpair:
         assert m.integral > 0
         with pytest.raises(NotAdmissible):
             mu1_extended(m)
+
+
+class TestDctKernel:
+    @pytest.mark.parametrize("kind,extents,shape", ODD_GRIDS)
+    def test_eigenvalues_reproduce_stiffness(self, kind, extents, shape):
+        grid = build_grid(kind, extents, shape)
+        K = assemble_stiffness(grid).entries.toarray()
+        n = grid.n_cells
+        C = np.column_stack([to_dct(grid, e).ravel() for e in np.eye(n)])
+        np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-14)
+        lam = dct_eigenvalues(grid).ravel()
+        assert lam[0] == 0.0 and lam[1:].min() > 0
+        defect = np.abs(C.T @ (lam[:, None] * C) - K).max()
+        assert defect <= 1e-13 * np.abs(K).max()
+
+    @pytest.mark.parametrize("kind,extents,shape", ODD_GRIDS + [
+        ("rectangle", [2.0, 1.0], [16, 8]),
+        ("box", [1.0, 0.5, 0.5], [8, 4, 3]),
+    ])
+    def test_iterative_matches_dense(self, kind, extents, shape, rng):
+        grid = build_grid(kind, extents, shape)
+        for _ in range(3):
+            m = weights(grid, random_admissible(rng, grid.n_cells))
+            dense = principal_eigenpair(m, solver="dense")
+            iterative = principal_eigenpair(m, solver="iterative")
+            assert abs(iterative.mu1 - dense.mu1) <= 1e-9 * dense.mu1
+            np.testing.assert_allclose(iterative.u, dense.u, atol=1e-8)
+            assert iterative.residual <= 1e-10
+
+    def test_iterative_rerun_byte_identical(self, rng):
+        grid = build_grid("rectangle", [2.0, 1.0], [24, 12])
+        m = weights(grid, random_admissible(rng, grid.n_cells))
+        first = principal_eigenpair(m, solver="iterative")
+        again = principal_eigenpair(weights(grid, m.values.copy()),
+                                    solver="iterative")
+        assert first.u.tobytes() == again.u.tobytes()
+        assert first.mu1 == again.mu1
+
+
+    def test_arpack_no_convergence_is_iteration_limit(self, monkeypatch,
+                                                      interval64, rng):
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("stalled", np.empty(0),
+                                           np.empty((64, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        m = weights(interval64, random_admissible(rng, 64))
+        with pytest.raises(IterationLimit):
+            principal_eigenpair(m, solver="iterative")
 
 
 class TestSignedSpectrum:
@@ -280,6 +336,13 @@ class TestDerivative:
             mu1 = principal_eigenpair(m).mu1
             assert abs(mu1_derivative(m, m.values) - mu1) <= 1e-10 * mu1
 
+    def test_euler_identity_iterative_above_dense_limit(self, rng):
+        grid = build_grid("rectangle", [2.0, 1.0], [128, 64])
+        m = weights(grid, random_admissible(rng, grid.n_cells))
+        mu1 = principal_eigenpair(m, solver="iterative").mu1
+        deriv = mu1_derivative(m, m.values, solver="iterative")
+        assert abs(deriv - mu1) <= 1e-10 * mu1
+
     def test_linear_in_direction(self, interval64, rng):
         m = weights(interval64, random_admissible(rng, 64))
         pair = principal_eigenpair(m)
@@ -326,6 +389,14 @@ class TestExtendedMu1:
             for t in (0.25, 0.5, 0.75):
                 mix = mu1_extended(weights(interval64, t * a + (1 - t) * b))
                 assert mix <= t * mu_a + (1 - t) * mu_b + 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_rejected(interval64, bad):
+    vals = np.r_[np.ones(16), -np.ones(48)]
+    vals[5] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        weight_field(interval64, vals)
 
 
 def test_weight_flags_recomputed(interval64):
