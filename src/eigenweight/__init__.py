@@ -4,18 +4,19 @@ weights, and optimization of the weight over rearrangement classes."""
 from .errors import (
     ConstantField,
     EigenweightError,
+    InputError,
     IndivisibleStripes,
     InvalidSpec,
     IterationLimit,
     LengthMismatch,
     MeasureMismatch,
     NegativeInitial,
-    NonUniformGrid,
     NoPositivePart,
     NotAdmissible,
     NotAdmissibleClass,
     ParseError,
     SingularSystem,
+    SolverError,
     TooLarge,
     UnstableStep,
     ValidationError,
@@ -23,7 +24,6 @@ from .errors import (
 )
 from .grid import (
     Grid,
-    StiffnessMatrix,
     assemble_stiffness,
     axis_stiffness,
     build_grid,
@@ -65,8 +65,7 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "StiffnessMatrix", "build_grid", "assemble_stiffness",
-    "axis_stiffness", "integrate",
+    "Grid", "build_grid", "assemble_stiffness", "axis_stiffness", "integrate",
     "WeightField", "EigenPair", "SignedSpectrum", "weight_field",
     "project_mean_zero", "solution_operator", "principal_eigenpair",
     "signed_spectrum", "rayleigh_quotient", "mu1_derivative", "mu1_extended",
@@ -77,10 +76,10 @@ __all__ = [
     "check_monotone_x1", "count_comonotone_violations",
     "oscillating_arrangement",
     "Trajectory", "simulate_logistic",
-    "EigenweightError", "InvalidSpec", "LengthMismatch", "NonUniformGrid",
-    "ZeroWeightIntegral", "NotAdmissible", "NoPositivePart", "ConstantField",
-    "TooLarge", "SingularSystem", "IterationLimit", "MeasureMismatch",
-    "NotAdmissibleClass", "IndivisibleStripes", "NegativeInitial",
-    "UnstableStep", "ParseError", "ValidationError",
+    "EigenweightError", "InputError", "SolverError", "InvalidSpec",
+    "LengthMismatch", "ZeroWeightIntegral", "NotAdmissible", "NoPositivePart",
+    "ConstantField", "TooLarge", "SingularSystem", "IterationLimit",
+    "MeasureMismatch", "NotAdmissibleClass", "IndivisibleStripes",
+    "NegativeInitial", "UnstableStep", "ParseError", "ValidationError",
     "__version__",
 ]

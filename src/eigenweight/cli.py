@@ -5,8 +5,9 @@ library and write result artifacts (JSON + CSV) into the output
 directory.  Identical config and seed produce byte-identical outputs up
 to the timestamp field inside JSON files.
 
-Exit codes: 0 ok, 2 parse error, 3 validation error, 4 solver error,
-5 iteration limit reached with partial output written.
+Exit codes: 0 ok, 2 parse error, 3 invalid input (``errors.InputError``),
+4 solver error (``errors.SolverError``), 5 iteration limit reached with
+partial output written.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .grid import DOMAIN_KINDS, Grid, build_grid
+from .grid import Grid, build_grid
 from .grid import assemble_stiffness as _assemble_stiffness
 from .logistic import simulate_logistic
 from .optimize import minimize_lambda1, oscillating_arrangement
@@ -59,26 +60,23 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_ITERATION_LIMIT = 5
 
-_VALIDATION_ERRORS = (
-    errors.ValidationError,
-    errors.InvalidSpec,
-    errors.NotAdmissible,
-    errors.NotAdmissibleClass,
-    errors.NoPositivePart,
-    errors.NegativeInitial,
-    errors.LengthMismatch,
-    errors.NonUniformGrid,
-    errors.MeasureMismatch,
-    errors.IndivisibleStripes,
+#: the four disjoint error families: (family, exit code, label)
+_EXIT_CODES = (
+    (errors.ParseError, EXIT_PARSE, "parse error"),
+    (errors.InputError, EXIT_VALIDATION, "validation error"),
+    (errors.SolverError, EXIT_SOLVER, "solver error"),
+    (errors.IterationLimit, EXIT_ITERATION_LIMIT, "iteration limit"),
 )
 
-_SOLVER_ERRORS = (
-    errors.SingularSystem,
-    errors.TooLarge,
-    errors.ZeroWeightIntegral,
-    errors.ConstantField,
-    errors.UnstableStep,
-)
+
+def _exit_code(exc: errors.EigenweightError, quiet: bool) -> int:
+    """Report a package error on stderr and return its family's exit code."""
+    for family, code, label in _EXIT_CODES:
+        if isinstance(exc, family):
+            if not quiet:
+                print(f"{label}: {exc}", file=sys.stderr)
+            return code
+    raise exc
 
 
 @dataclass
@@ -143,7 +141,8 @@ def parse_config(text: str) -> RunConfig:
 
     Structural problems (malformed JSON, missing keys, wrong version)
     raise ParseError with the offending line or key; value problems raise
-    ValidationError naming the violated precondition.
+    an InputError naming the violated precondition (InvalidSpec from
+    ``build_grid`` for the domain, ValidationError for the rest).
     """
     try:
         doc = json.loads(text)
@@ -159,18 +158,9 @@ def parse_config(text: str) -> RunConfig:
             f"{CONFIG_VERSION}")
 
     domain = _require(doc, "domain", "config")
-    kind = _require(domain, "type", "domain")
-    if kind not in DOMAIN_KINDS:
-        raise errors.ValidationError(f"unknown domain type {kind!r}")
-    extents = tuple(float(x) for x in _require(domain, "extents", "domain"))
-    shape = tuple(int(n) for n in _require(domain, "shape", "domain"))
-    if len(extents) != DOMAIN_KINDS[kind] or len(shape) != DOMAIN_KINDS[kind]:
-        raise errors.ValidationError(
-            f"domain type {kind!r} needs {DOMAIN_KINDS[kind]} axes")
-    if any(x <= 0 for x in extents):
-        raise errors.ValidationError("extents must be positive")
-    if any(n < 2 for n in shape):
-        raise errors.ValidationError("shape entries must be at least 2")
+    grid = build_grid(_require(domain, "type", "domain"),
+                      _require(domain, "extents", "domain"),
+                      _require(domain, "shape", "domain"))
 
     weight = dict(_require(doc, "weight", "config"))
     w_kind = _require(weight, "kind", "weight")
@@ -215,9 +205,9 @@ def parse_config(text: str) -> RunConfig:
                 f"got {solver!r}")
 
     return RunConfig(
-        domain_kind=kind,
-        extents=extents,
-        shape=shape,
+        domain_kind=domain["type"],
+        extents=grid.extents,
+        shape=grid.shape,
         weight=weight,
         **sections,
         output_dir=str(doc.get("output_dir", "out")),
@@ -237,8 +227,7 @@ def _cmd_solve(config: RunConfig, out: Path) -> int:
     write_json(out / "eigenpair.json", payload)
     write_field_csv(out / "u.csv", pair.u, grid)
     if config.solve.get("dump_stiffness"):
-        write_stiffness_coo(out / "stiffness.txt",
-                            _assemble_stiffness(grid).entries)
+        write_stiffness_coo(out / "stiffness.txt", _assemble_stiffness(grid))
     n_eigs = int(config.solve.get("spectrum", 0))
     if n_eigs > 0:
         write_spectrum_csv(out / "spectrum.csv", signed_spectrum(m, n_eigs))
@@ -332,22 +321,8 @@ def execute(config: RunConfig, command: str, out_dir=None,
             return _cmd_simulate(config, out)
         seed = 0 if seed_override is None else int(seed_override)
         return _cmd_verify(out, seed, quiet)
-    except errors.ParseError as exc:
-        if not quiet:
-            print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _VALIDATION_ERRORS as exc:
-        if not quiet:
-            print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except errors.IterationLimit as exc:
-        if not quiet:
-            print(f"iteration limit: {exc}", file=sys.stderr)
-        return EXIT_ITERATION_LIMIT
-    except _SOLVER_ERRORS as exc:
-        if not quiet:
-            print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except errors.EigenweightError as exc:
+        return _exit_code(exc, quiet)
 
 
 def main(argv=None) -> int:
@@ -377,14 +352,8 @@ def main(argv=None) -> int:
             parser.error("--config is required for this command")
         try:
             config = parse_config(Path(args.config).read_text())
-        except errors.ParseError as exc:
-            if not args.quiet:
-                print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except errors.ValidationError as exc:
-            if not args.quiet:
-                print(f"validation error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        except errors.EigenweightError as exc:
+            return _exit_code(exc, args.quiet)
 
     code = execute(config, args.command, out_dir=args.out,
                    seed_override=args.seed, quiet=args.quiet)

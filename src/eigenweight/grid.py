@@ -17,6 +17,7 @@ spectral and logistic solvers work in that basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,8 +45,10 @@ class Grid:
         Cell count per axis.
     spacing : tuple of float
         Cell width per axis, extents[a] / shape[a].
-    cell_measures : ndarray
-        Lebesgue measure of each cell (all equal on uniform grids).
+    cell_measure : float
+        Lebesgue measure of every cell, the product of the spacings.  One
+        measure for all cells is what makes a rearrangement class a
+        multiset of cell values and the DCT diagonalize the stiffness.
     axis1_lines : ndarray, shape (n_lines, shape[0])
         Flat indices of each full line of cells along the first axis,
         ordered by increasing first coordinate.
@@ -55,21 +58,17 @@ class Grid:
     extents: tuple
     shape: tuple
     spacing: tuple
-    cell_measures: np.ndarray
+    cell_measure: float
     axis1_lines: np.ndarray
 
     @property
     def n_cells(self) -> int:
-        return int(self.cell_measures.size)
+        return math.prod(self.shape)
 
     @property
     def volume(self) -> float:
         """Measure of the whole domain."""
         return float(np.prod(self.extents))
-
-    def is_uniform(self, rtol: float = 1e-12) -> bool:
-        w = self.cell_measures
-        return bool(np.all(np.abs(w - w[0]) <= rtol * abs(w[0])))
 
     def flat_index(self, multi_index) -> int:
         """Layout map: (i1, ..., iN) -> flat index, first axis fastest."""
@@ -107,19 +106,6 @@ class Grid:
         return centers
 
 
-@dataclass(frozen=True, eq=False)
-class StiffnessMatrix:
-    """Sparse symmetric stiffness matrix of the zero-flux Laplacian.
-
-    ``f @ entries @ f`` discretizes the Dirichlet energy of the piecewise
-    field f.  Constants lie in the kernel (the discrete Neumann condition)
-    and all row sums vanish.
-    """
-
-    size: int
-    entries: sp.csr_matrix
-
-
 def build_grid(kind: str, extents, shape) -> Grid:
     """Build a uniform grid on an interval, rectangle or box domain.
 
@@ -128,34 +114,39 @@ def build_grid(kind: str, extents, shape) -> Grid:
     kind : {"interval", "rectangle", "box"}
         Domain family; must match the number of axes given.
     extents : sequence of float
-        Positive side length per axis.
+        Positive, finite side length per axis.
     shape : sequence of int
         Cells per axis, each at least 2.
+
+    This is the one place domains are validated: every malformed
+    descriptor raises InvalidSpec.
     """
-    if kind not in DOMAIN_KINDS:
+    if not isinstance(kind, str) or kind not in DOMAIN_KINDS:
         raise InvalidSpec(f"unknown domain kind {kind!r}")
     dim = DOMAIN_KINDS[kind]
-    extents = tuple(float(L) for L in np.atleast_1d(extents))
-    shape = tuple(int(n) for n in np.atleast_1d(shape))
+    try:
+        extents = tuple(float(L) for L in np.atleast_1d(extents))
+        shape = tuple(int(n) for n in np.atleast_1d(shape))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"extents and shape must be numbers: {exc}") \
+            from exc
     if len(extents) != dim or len(shape) != dim:
         raise InvalidSpec(
             f"{kind} domain needs {dim} extents and {dim} cell counts, "
             f"got {len(extents)} and {len(shape)}"
         )
-    if any(L <= 0 for L in extents):
-        raise InvalidSpec(f"extents must be positive, got {extents}")
+    if not all(0 < L < np.inf for L in extents):
+        raise InvalidSpec(
+            f"extents must be positive and finite, got {extents}")
     if any(n < 2 for n in shape):
         raise InvalidSpec(f"cell counts must be at least 2, got {shape}")
 
     spacing = tuple(L / n for L, n in zip(extents, shape))
-    n_cells = int(np.prod(shape))
-    w = float(np.prod(spacing))
-    cell_measures = np.full(n_cells, w)
-    cell_measures.setflags(write=False)
     # first axis fastest: each line is a contiguous run of shape[0] indices
-    axis1_lines = np.arange(n_cells).reshape(-1, shape[0])
+    axis1_lines = np.arange(math.prod(shape)).reshape(-1, shape[0])
     axis1_lines.setflags(write=False)
-    return Grid(dim, extents, shape, spacing, cell_measures, axis1_lines)
+    return Grid(dim, extents, shape, spacing, float(np.prod(spacing)),
+                axis1_lines)
 
 
 def _forward_difference(n: int) -> sp.csr_matrix:
@@ -182,23 +173,23 @@ def axis_stiffness(grid: Grid, axis: int) -> sp.csr_matrix:
     diff = mats[grid.dim - 1]
     for a in range(grid.dim - 2, -1, -1):
         diff = sp.kron(diff, mats[a], format="csr")
-    face_weight = float(np.prod(grid.spacing)) / grid.spacing[axis] ** 2
+    face_weight = grid.cell_measure / grid.spacing[axis] ** 2
     return (face_weight * (diff.T @ diff)).tocsr()
 
 
 @lru_cache(maxsize=32)
-def assemble_stiffness(grid: Grid) -> StiffnessMatrix:
-    """Assemble the Neumann stiffness matrix of the grid.
+def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
+    """Assemble the Neumann stiffness matrix K of the grid.
 
-    Finite-volume / tensor-difference assembly summed over axes.  The
-    result is symmetric with zero row sums and positive semidefinite;
-    f^T K f = 0 exactly when f is constant.
+    Finite-volume / tensor-difference assembly summed over axes.
+    ``f @ K @ f`` discretizes the Dirichlet energy of the piecewise field
+    f.  K is symmetric with zero row sums (the discrete Neumann condition)
+    and positive semidefinite; f^T K f = 0 exactly when f is constant.
     """
     K = axis_stiffness(grid, 0)
     for a in range(1, grid.dim):
         K = K + axis_stiffness(grid, a)
-    K = ((K + K.T) * 0.5).tocsr()  # enforce exact symmetry
-    return StiffnessMatrix(size=grid.n_cells, entries=K)
+    return ((K + K.T) * 0.5).tocsr()  # enforce exact symmetry
 
 
 @lru_cache(maxsize=32)
@@ -213,7 +204,7 @@ def dct_eigenvalues(grid: Grid) -> np.ndarray:
     """
     lam = np.zeros(grid.shape[::-1])
     for a, n in enumerate(grid.shape):
-        face_weight = float(np.prod(grid.spacing)) / grid.spacing[a] ** 2
+        face_weight = grid.cell_measure / grid.spacing[a] ** 2
         k = np.arange(n)
         axis_vals = face_weight * (2.0 - 2.0 * np.cos(np.pi * k / n))
         lam += axis_vals.reshape((n,) + (1,) * a)
@@ -241,6 +232,5 @@ def as_field(grid: Grid, f) -> np.ndarray:
 
 
 def integrate(grid: Grid, f) -> float:
-    """Midpoint-rule integral of a cell field: sum of measure * value."""
-    f = as_field(grid, f)
-    return float(grid.cell_measures @ f)
+    """Midpoint-rule integral of a cell field: cell measure * sum of values."""
+    return grid.cell_measure * float(as_field(grid, f).sum())

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, NegativeInitial, UnstableStep
+from .errors import (InvalidSpec, NegativeInitial, UnstableStep,
+                     ValidationError)
 from .grid import Grid, as_field, dct_eigenvalues, from_dct, to_dct
 from .spectral import WeightField
 
@@ -54,9 +55,9 @@ class Trajectory:
 
 
 def _implicit_diffusion(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (W/dt + K) v = rhs; W is the (uniform) cell measure."""
-    w = float(grid.cell_measures[0])
-    return from_dct(grid, to_dct(grid, rhs) / (w / dt + dct_eigenvalues(grid)))
+    """Solve (W/dt + K) v = rhs; W is the cell measure."""
+    return from_dct(grid, to_dct(grid, rhs)
+                    / (grid.cell_measure / dt + dct_eigenvalues(grid)))
 
 
 def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
@@ -71,19 +72,24 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     """
     grid = m.grid
     v = as_field(grid, v0).copy()
+    if not np.isfinite(v).all():
+        raise ValidationError("initial density must be finite")
     if np.any(v < 0):
         raise NegativeInitial("initial density has negative entries")
-    if dt <= 0 or t_end <= 0:
-        raise InvalidSpec("dt and t_end must be positive")
-    if gamma < 0:
-        raise InvalidSpec("gamma must be nonnegative")
+    # written so that NaN fails every comparison
+    if not (0 < dt < np.inf and 0 < t_end < np.inf):
+        raise InvalidSpec(
+            f"dt and t_end must be positive and finite, got {dt}, {t_end}")
+    if not 0 <= gamma < np.inf:
+        raise InvalidSpec(
+            f"gamma must be nonnegative and finite, got {gamma}")
 
-    w = grid.cell_measures
+    w = grid.cell_measure
     m_abs_max = float(np.max(np.abs(m.values)))
     n_steps = int(np.ceil(t_end / dt - 1e-12))
 
     times = [0.0]
-    mass = [float(w @ v)]
+    mass = [w * float(v.sum())]
     min_v = [float(v.min())]
     max_v = [float(v.max())]
     clamp_events = 0
@@ -109,7 +115,7 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
                 v = np.maximum(v, 0.0)
         t += step_dt
         times.append(t)
-        mass.append(float(w @ v))
+        mass.append(w * float(v.sum()))
         min_v.append(float(v.min()))
         max_v.append(float(v.max()))
 

@@ -15,13 +15,14 @@ supports random restarts from seeded permutations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotAdmissibleClass, IndivisibleStripes
 from .grid import Grid, as_field
-from .rearrange import RearrangementClass, comonotone_arrangement, _require_uniform
+from .rearrange import RearrangementClass, comonotone_arrangement
 from .spectral import EigenPair, principal_eigenpair, weight_field
 
 
@@ -137,7 +138,6 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     lambda1) wins, ties resolved toward the earlier restart.  Hitting
     ``max_iters`` is reported through ``converged=False``, not an error.
     """
-    _require_uniform(grid)
     if not cls.is_admissible:
         raise NotAdmissibleClass(
             "class needs a positive value and negative total integral")
@@ -190,25 +190,23 @@ def oscillating_arrangement(cls: RearrangementClass, grid: Grid,
     weakly-* to the constant mean, driving mu1 to zero and lambda1 to
     infinity.
     """
-    _require_uniform(grid)
     if k < 1 or grid.shape[0] % k != 0:
         raise IndivisibleStripes(
             f"stripe count {k} does not divide first-axis cells "
             f"{grid.shape[0]}")
     n1 = grid.shape[0]
     period = n1 // k
-    capacity = grid.n_cells // k
-    remaining = np.full(k, capacity)
+    remaining = [grid.n_cells // k] * k
     stripe_values: list = [[] for _ in range(k)]
     for value, count in zip(cls.values, cls.cell_counts(grid)):
         for j in range(count):
             x = (j + 0.5) * k / count - 0.5  # ideal stripe index
-            candidates = sorted(range(k), key=lambda s: (abs(s - x), s))
-            for s in candidates:
-                if remaining[s] > 0:
-                    stripe_values[s].append(value)
-                    remaining[s] -= 1
-                    break
+            s = min(max(math.ceil(x - 0.5), 0), k - 1)  # nearest, ties down
+            if remaining[s] == 0:
+                s = min((t for t in range(k) if remaining[t] > 0),
+                        key=lambda t: (abs(t - x), t))
+            stripe_values[s].append(value)
+            remaining[s] -= 1
 
     out = np.empty(grid.n_cells)
     i1 = np.arange(grid.n_cells) % n1

@@ -3,8 +3,7 @@
 On a uniform grid every rearrangement class is exactly a multiset of cell
 values, so class operations are permutations: the decreasing rearrangement
 is a sort, equimeasurability is multiset equality, and the majorization
-relation compares prefix sums of sorted values.  Non-uniform grids are
-rejected because splitting cell measures is out of scope.
+relation compares prefix sums of sorted values.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeasureMismatch, NonUniformGrid
+from .errors import MeasureMismatch
 from .grid import Grid, as_field, integrate
 
 #: slack for prefix-sum and total comparisons (absolute, unit-scale data)
@@ -49,8 +48,7 @@ class RearrangementClass:
 
     def cell_counts(self, grid: Grid) -> np.ndarray:
         """Cells per profile entry on this grid; raises MeasureMismatch."""
-        _require_uniform(grid)
-        w = float(grid.cell_measures[0])
+        w = grid.cell_measure
         if abs(self.total_measure - grid.volume) > PREC_TOL * max(
                 1.0, grid.volume):
             raise MeasureMismatch(
@@ -68,15 +66,10 @@ class RearrangementClass:
         return np.repeat(self.values, self.cell_counts(grid))
 
 
-def _require_uniform(grid: Grid) -> None:
-    if not grid.is_uniform():
-        raise NonUniformGrid("operation requires a uniform grid")
-
-
 def distribution_function(f, grid: Grid, t: float) -> float:
     """Measure of the superlevel set {f > t}."""
     f = as_field(grid, f)
-    return float(grid.cell_measures[f > t].sum())
+    return grid.cell_measure * int(np.count_nonzero(f > t))
 
 
 def decreasing_rearrangement(f, grid: Grid) -> RearrangementClass:
@@ -86,9 +79,8 @@ def decreasing_rearrangement(f, grid: Grid) -> RearrangementClass:
     function of the profile values against the measures reproduces the
     integral over the domain.
     """
-    _require_uniform(grid)
     f = as_field(grid, f)
-    w = float(grid.cell_measures[0])
+    w = grid.cell_measure
     values, counts = np.unique(f, return_counts=True)
     profile = tuple(
         (float(v), float(c * w)) for v, c in zip(values[::-1], counts[::-1]))
@@ -101,7 +93,6 @@ def decreasing_rearrangement(f, grid: Grid) -> RearrangementClass:
 
 def equimeasurable(f, g, grid: Grid) -> bool:
     """True when f and g are rearrangements of one another (exact values)."""
-    _require_uniform(grid)
     f = as_field(grid, f)
     g = as_field(grid, g)
     return bool(np.array_equal(np.sort(f), np.sort(g)))
@@ -128,10 +119,9 @@ def check_majorization(g, f, grid: Grid) -> MajorizationReport:
     integral of g must stay below the matching prefix of f, with equal
     totals.
     """
-    _require_uniform(grid)
     g = as_field(grid, g)
     f = as_field(grid, f)
-    w = float(grid.cell_measures[0])
+    w = grid.cell_measure
     G = w * np.cumsum(np.sort(g)[::-1])
     F = w * np.cumsum(np.sort(f)[::-1])
     margins = F - G
@@ -166,7 +156,6 @@ def monotone_x1_rearrangement(f, grid: Grid, direction: str = "decreasing") -> n
     The output is equimeasurable with f and monotone along every line;
     applying the operation twice equals applying it once.
     """
-    _require_uniform(grid)
     f = as_field(grid, f)
     if direction not in ("decreasing", "increasing"):
         raise ValueError(f"unknown direction {direction!r}")

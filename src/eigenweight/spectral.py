@@ -131,7 +131,7 @@ class SignedSpectrum:
 
 def _weighted_values(m: WeightField) -> np.ndarray:
     """w_i * m_i, the vector defining the V_m constraint."""
-    return m.grid.cell_measures * m.values
+    return m.grid.cell_measure * m.values
 
 
 def project_mean_zero(m: WeightField, f) -> np.ndarray:
@@ -202,7 +202,7 @@ def _dense_pencil(m: WeightField):
     if n > DENSE_CELL_LIMIT:
         raise TooLarge(
             f"{n} cells exceeds the dense limit of {DENSE_CELL_LIMIT}")
-    K = assemble_stiffness(m.grid).entries
+    K = assemble_stiffness(m.grid)
     B = _vm_basis(m)
     d = _weighted_values(m)
     A = B.T @ (d[:, None] * B)
@@ -215,7 +215,7 @@ def _dense_pencil(m: WeightField):
 
 def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray) -> EigenPair:
     """Sign-fix, normalize u^T K u = 1 and attach the V_m residual."""
-    K = assemble_stiffness(m.grid).entries
+    K = assemble_stiffness(m.grid)
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
     u = u / np.sqrt(u @ (K @ u))
@@ -320,7 +320,7 @@ def rayleigh_quotient(m: WeightField, f) -> float:
     roundoff scale count as constant).
     """
     f = as_field(m.grid, f)
-    K = assemble_stiffness(m.grid).entries
+    K = assemble_stiffness(m.grid)
     den = float(f @ (K @ f))
     energy_floor = 1e-14 * float(np.abs(K.diagonal()).max()) * float(f @ f)
     if den <= energy_floor:
@@ -339,7 +339,7 @@ def mu1_derivative(m: WeightField, v, solver: str = "dense") -> float:
     """
     v = as_field(m.grid, v)
     pair = principal_eigenpair(m, solver=solver)
-    return float((m.grid.cell_measures * pair.u ** 2) @ v)
+    return float((m.grid.cell_measure * pair.u ** 2) @ v)
 
 
 def mu1_extended(m: WeightField, solver: str = "dense",

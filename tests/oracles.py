@@ -2,13 +2,17 @@
 
 These deliberately avoid the library's discretization: the eigenvalue
 oracle solves the 1D two-phase matching equation by bisection on the
-closed form, and the arrangement oracle enumerates permutations.
+closed form, the arrangement oracle enumerates permutations, and the
+stripe oracle searches every stripe for every cell.  ``random_admissible``
+is the library's own admissible-weight generator, shared with ``verify``.
 """
 
 import math
 from itertools import permutations
 
 import numpy as np
+
+from eigenweight.verify import random_admissible_values as random_admissible
 
 
 def two_phase_lambda1(a: float, b: float, cut: float, length: float,
@@ -50,16 +54,30 @@ def best_arrangement_value(values, u, w) -> float:
                for perm in permutations(values))
 
 
-def random_admissible(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random weight values with a positive part and mean at most -0.05.
+def oscillating_layout(values, counts, n1: int, n_cells: int, k: int):
+    """Brute-force stripe layout: every cell sorts all k stripes.
 
-    The margin keeps the draws uniformly admissible: identities degrade
-    like 1/|mean| as the weight integral approaches zero.
+    Deals each value's cells to the stripe nearest its ideal fractional
+    position (earliest stripe on ties), skipping full stripes, then lays
+    each stripe out sorted descending.  Returns the field and whether some
+    cell found its nearest stripe full.
     """
-    values = rng.uniform(-1.0, 1.0, n)
-    mean = values.mean()
-    if mean > -0.05:
-        values = values - (mean + 0.1)
-    if not np.any(values > 0):
-        values[int(rng.integers(n))] = 0.5
-    return values
+    remaining = np.full(k, n_cells // k)
+    stripe_values = [[] for _ in range(k)]
+    hit_full = False
+    for value, count in zip(values, counts):
+        for j in range(count):
+            x = (j + 0.5) * k / count - 0.5
+            candidates = sorted(range(k), key=lambda s: (abs(s - x), s))
+            hit_full |= bool(remaining[candidates[0]] == 0)
+            for s in candidates:
+                if remaining[s] > 0:
+                    stripe_values[s].append(value)
+                    remaining[s] -= 1
+                    break
+    out = np.empty(n_cells)
+    i1 = np.arange(n_cells) % n1
+    for s in range(k):
+        cells = np.flatnonzero(i1 // (n1 // k) == s)
+        out[cells] = np.sort(stripe_values[s])[::-1]
+    return out, hit_full

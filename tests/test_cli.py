@@ -1,9 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from eigenweight import ParseError, ValidationError
+from eigenweight import ParseError, ValidationError, errors
 from eigenweight.cli import execute, main, parse_config
 from eigenweight.serialize import read_field_csv
 
@@ -180,11 +181,63 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "out")]) == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command",
+                             ["solve", "optimize", "rearrange", "simulate"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_extents_exit_3(self, tmp_path, capsys, command, bad):
+        cfg = tmp_path / "extents.json"
+        cfg.write_text(config_text(
+            domain={"type": "interval", "extents": [bad], "shape": [16]}))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "extents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["gamma", "dt", "t_end", "v0", "v0[1]"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_simulate_input_exit_3(self, tmp_path, capsys, key,
+                                              bad):
+        simulate = dict(BASE_CONFIG["simulate"])
+        if key == "v0[1]":
+            simulate["v0"] = [0.01, bad] + [0.01] * 62
+        else:
+            simulate[key] = bad
+        cfg = tmp_path / "simulate.json"
+        cfg.write_text(config_text(simulate=simulate))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "finite" in capsys.readouterr().err
+
     def test_solve_ok_exit_0(self, tmp_path):
         cfg = tmp_path / "ok.json"
         cfg.write_text(config_text())
         assert main(["solve", "--config", str(cfg), "--quiet",
                      "--out", str(tmp_path / "out")]) == 0
+
+
+#: the exit code of every error class of the package
+EXIT_CODES = {
+    "ParseError": 2,
+    "ValidationError": 3, "InvalidSpec": 3, "LengthMismatch": 3,
+    "NotAdmissible": 3, "NoPositivePart": 3, "MeasureMismatch": 3,
+    "NotAdmissibleClass": 3, "IndivisibleStripes": 3, "NegativeInitial": 3,
+    "ZeroWeightIntegral": 4, "ConstantField": 4, "TooLarge": 4,
+    "SingularSystem": 4, "UnstableStep": 4,
+    "IterationLimit": 5,
+}
+
+
+def test_every_error_class_has_its_exit_code(tmp_path, monkeypatch):
+    leaves = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
+              if issubclass(cls, errors.EigenweightError)
+              and not cls.__subclasses__()}
+    assert leaves == set(EXIT_CODES)
+    config = parse_config(config_text())
+    for name, code in EXIT_CODES.items():
+        def fail(*args, exc=getattr(errors, name)):
+            raise exc("raised on purpose")
+        monkeypatch.setattr("eigenweight.cli._cmd_solve", fail)
+        assert execute(config, "solve", out_dir=tmp_path, quiet=True) \
+            == code, name
 
 
 class TestVerifyAndDumps:

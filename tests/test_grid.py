@@ -17,15 +17,16 @@ def test_interval_partition():
     grid = build_grid("interval", [1.0], [4])
     assert grid.dim == 1
     assert grid.spacing == (0.25,)
-    np.testing.assert_allclose(grid.cell_measures, 0.25)
-    assert abs(grid.cell_measures.sum() - 1.0) < 1e-12
+    np.testing.assert_allclose(grid.cell_measure, 0.25)
+    assert abs(grid.cell_measure * grid.n_cells - 1.0) < 1e-12
 
 
 def test_rectangle_product_measure():
     grid = build_grid("rectangle", [2.0, 1.0], [4, 2])
     assert grid.n_cells == 8
-    np.testing.assert_allclose(grid.cell_measures, 0.25)
-    assert abs(grid.cell_measures.sum() - grid.volume) < 1e-12 * grid.volume
+    np.testing.assert_allclose(grid.cell_measure, 0.25)
+    assert abs(grid.cell_measure * grid.n_cells - grid.volume) \
+        < 1e-12 * grid.volume
 
 
 def test_cell_count_too_small():
@@ -38,6 +39,19 @@ def test_nonpositive_extent():
         build_grid("interval", [0.0], [4])
     with pytest.raises(InvalidSpec):
         build_grid("interval", [-1.0], [4])
+
+
+@pytest.mark.parametrize("kind,extents,shape", [
+    ("interval", [np.nan], [4]),
+    ("interval", [np.inf], [4]),
+    ("interval", ["wide"], [4]),
+    ("interval", [1.0], [np.nan]),
+    ("interval", [1.0], [np.inf]),
+    (["interval"], [1.0], [4]),
+])
+def test_malformed_descriptor(kind, extents, shape):
+    with pytest.raises(InvalidSpec):
+        build_grid(kind, extents, shape)
 
 
 def test_kind_dimension_mismatch():
@@ -80,7 +94,7 @@ def test_layout_roundtrip():
 
 def test_stiffness_interval_n3():
     grid = build_grid("interval", [1.0], [3])
-    K = assemble_stiffness(grid).entries.toarray()
+    K = assemble_stiffness(grid).toarray()
     expected = 3.0 * np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
     np.testing.assert_array_equal(K, expected)
 
@@ -92,7 +106,7 @@ def test_stiffness_interval_n3():
 ])
 def test_stiffness_invariants(kind, extents, shape, rng):
     grid = build_grid(kind, extents, shape)
-    K = assemble_stiffness(grid).entries
+    K = assemble_stiffness(grid)
     assert (K - K.T).nnz == 0
     ones = np.ones(grid.n_cells)
     # rowsum cancellation is exact up to one rounding of the stored diagonal
@@ -107,7 +121,7 @@ def test_stiffness_invariants(kind, extents, shape, rng):
 
 def test_energy_zero_only_for_constants(rng):
     grid = build_grid("rectangle", [1.0, 1.0], [5, 4])
-    K = assemble_stiffness(grid).entries
+    K = assemble_stiffness(grid)
     c = np.full(grid.n_cells, 2.3)
     floor = 1e-14 * np.abs(K.diagonal()).max() * (c @ c)
     assert abs(c @ (K @ c)) <= floor
@@ -118,7 +132,7 @@ def test_energy_zero_only_for_constants(rng):
 
 def test_axis_stiffness_splits_total():
     grid = build_grid("rectangle", [2.0, 1.0], [6, 4])
-    K = assemble_stiffness(grid).entries
+    K = assemble_stiffness(grid)
     K0 = axis_stiffness(grid, 0)
     K1 = axis_stiffness(grid, 1)
     assert abs(K - (K0 + K1)).max() < 1e-14
@@ -130,7 +144,7 @@ def test_stiffness_consistency_first_order():
     defects = []
     for n in (32, 64, 128, 256):
         grid = build_grid("interval", [1.0], [n])
-        K = assemble_stiffness(grid).entries
+        K = assemble_stiffness(grid)
         u = grid.cell_centers()[:, 0]
         defects.append(abs(u @ (K @ u) - 1.0))
     for coarse, fine in zip(defects, defects[1:]):

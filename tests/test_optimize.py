@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from eigenweight import (
     principal_eigenpair,
     weight_field,
 )
-from oracles import two_phase_lambda1
+from oracles import oscillating_layout, two_phase_lambda1
 
 
 def bang_bang_class(grid, n_pos, pos=1.0, neg=-2.0):
@@ -92,7 +94,7 @@ class TestMinimize:
         # one sweep gains at least the first-order prediction
         grid = build_grid("interval", [1.0], [48])
         cls, values = bang_bang_class(grid, 12)
-        w = grid.cell_measures
+        w = grid.cell_measure
         m = rng.permutation(values)
         for _ in range(6):
             pair = principal_eigenpair(weight_field(grid, m))
@@ -183,3 +185,42 @@ class TestOscillating:
             field = oscillating_arrangement(cls, grid, k)
             mus.append(principal_eigenpair(weight_field(grid, field)).mu1)
         assert all(b < a for a, b in zip(mus, mus[1:]))
+
+
+def _compositions(n, parts):
+    """All ways to write n as an ordered sum of `parts` positive counts."""
+    for cuts in itertools.combinations(range(1, n), parts - 1):
+        yield np.diff((0,) + cuts + (n,))
+
+
+@pytest.mark.parametrize("shape", [(8,), (12,), (6, 2)])
+def test_oscillating_matches_brute_force(shape):
+    # multi-valued classes whose stripes fill up before the last value
+    grid = build_grid("interval" if len(shape) == 1 else "rectangle",
+                      [1.0] * len(shape), shape)
+    n1 = shape[0]
+    levels = np.array([2.0, 0.5, -1.0, -3.0])
+    hits = layouts = 0
+    for parts in (2, 3, 4):
+        for counts in _compositions(grid.n_cells, parts):
+            cls = decreasing_rearrangement(
+                np.repeat(levels[:parts], counts), grid)
+            for k in (k for k in range(1, n1 + 1) if n1 % k == 0):
+                expected, hit_full = oscillating_layout(
+                    cls.values, cls.cell_counts(grid), n1, grid.n_cells, k)
+                got = oscillating_arrangement(cls, grid, k)
+                assert got.tobytes() == expected.tobytes(), (counts, k)
+                hits += hit_full
+                layouts += 1
+    assert hits > layouts // 4
+
+
+def test_oscillating_matches_brute_force_criterion_8():
+    grid = build_grid("interval", [1.0], [256])
+    cls = decreasing_rearrangement(
+        np.where(np.arange(256) < 64, 1.0, -2.0), grid)
+    for k in (1, 2, 4, 8, 16):
+        expected, _ = oscillating_layout(cls.values, cls.cell_counts(grid),
+                                         256, 256, k)
+        assert oscillating_arrangement(cls, grid, k).tobytes() \
+            == expected.tobytes()

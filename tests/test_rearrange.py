@@ -47,7 +47,7 @@ class TestDistributionFunction:
 
 
 class TestDecreasingRearrangement:
-    def test_sorts_with_cell_measures(self):
+    def test_sorts_with_cell_measure(self):
         grid = grid1d(3)
         cls = decreasing_rearrangement(np.array([3.0, 1.0, 2.0]), grid)
         assert cls.profile == ((3.0, pytest.approx(1 / 3)),
@@ -152,7 +152,7 @@ class TestComonotoneArrangement:
 
     def test_matches_brute_force(self, rng):
         grid = build_grid("interval", [1.0], [4])
-        w = grid.cell_measures
+        w = grid.cell_measure
         for _ in range(60):
             u = rng.standard_normal(4)
             values = rng.standard_normal(4)
@@ -240,22 +240,3 @@ def test_majorization_of_shuffles(f, data):
     perm = np.array(data.draw(st.permutations(list(f))))
     assert check_majorization(perm, f, grid).holds
     assert check_majorization(f, perm, grid).holds
-
-
-def test_non_uniform_grid_rejected():
-    from eigenweight import NonUniformGrid
-    from eigenweight.grid import Grid
-
-    measures = np.array([0.3, 0.3, 0.4])
-    lines = np.arange(3).reshape(1, 3)
-    uneven = Grid(dim=1, extents=(1.0,), shape=(3,), spacing=(1 / 3,),
-                  cell_measures=measures, axis1_lines=lines)
-    f = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(NonUniformGrid):
-        decreasing_rearrangement(f, uneven)
-    with pytest.raises(NonUniformGrid):
-        check_majorization(f, f, uneven)
-    with pytest.raises(NonUniformGrid):
-        monotone_x1_rearrangement(f, uneven)
-    with pytest.raises(NonUniformGrid):
-        equimeasurable(f, f, uneven)

@@ -60,7 +60,7 @@ def test_truncated_field_rejected(tmp_path, rng):
 
 def test_stiffness_dump(tmp_path):
     grid = build_grid("interval", [1.0], [3])
-    K = assemble_stiffness(grid).entries
+    K = assemble_stiffness(grid)
     path = tmp_path / "K.txt"
     write_stiffness_coo(path, K)
     triples = [line.split() for line in path.read_text().splitlines()]

@@ -58,11 +58,11 @@ class TestProjection:
         m = weights(interval64, random_admissible(rng, 64))
         f = rng.standard_normal(64)
         out = project_mean_zero(m, f)
-        q = interval64.cell_measures * m.values
+        q = interval64.cell_measure * m.values
         assert abs(q @ out) <= 1e-12 * max(1.0, np.abs(out).max())
 
     def test_adjoint_identity(self, interval64, rng):
-        w = interval64.cell_measures
+        w = interval64.cell_measure
         for _ in range(50):
             m = weights(interval64, random_admissible(rng, 64))
             f = rng.standard_normal(64)
@@ -93,7 +93,7 @@ class TestSolutionOperator:
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_self_adjoint_in_energy_product(self, interval64, rng):
-        K = assemble_stiffness(interval64).entries
+        K = assemble_stiffness(interval64)
         for _ in range(30):
             m = weights(interval64, random_admissible(rng, 64))
             f = project_mean_zero(m, rng.standard_normal(64))
@@ -105,8 +105,8 @@ class TestSolutionOperator:
     def test_saddle_residual(self, rng):
         # K u - W(m f) must be parallel to the constraint vector W m
         grid = build_grid("interval", [1.0], [16])
-        K = assemble_stiffness(grid).entries
-        w = grid.cell_measures
+        K = assemble_stiffness(grid)
+        w = grid.cell_measure
         for _ in range(30):
             m = weights(grid, random_admissible(rng, 16))
             f = project_mean_zero(m, rng.standard_normal(16))
@@ -142,8 +142,8 @@ class TestPrincipalEigenpair:
         assert abs(pair.lambda1 - lam_star) / lam_star < 1e-3
 
     def test_eigenpair_identities(self, interval64, rng):
-        K = assemble_stiffness(interval64).entries
-        w = interval64.cell_measures
+        K = assemble_stiffness(interval64)
+        w = interval64.cell_measure
         for _ in range(30):
             m = weights(interval64, random_admissible(rng, 64))
             pair = principal_eigenpair(m)
@@ -223,7 +223,7 @@ class TestDctKernel:
     @pytest.mark.parametrize("kind,extents,shape", ODD_GRIDS)
     def test_eigenvalues_reproduce_stiffness(self, kind, extents, shape):
         grid = build_grid(kind, extents, shape)
-        K = assemble_stiffness(grid).entries.toarray()
+        K = assemble_stiffness(grid).toarray()
         n = grid.n_cells
         C = np.column_stack([to_dct(grid, e).ravel() for e in np.eye(n)])
         np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-14)
@@ -346,7 +346,7 @@ class TestDerivative:
     def test_linear_in_direction(self, interval64, rng):
         m = weights(interval64, random_admissible(rng, 64))
         pair = principal_eigenpair(m)
-        mass = (interval64.cell_measures * pair.u ** 2).sum()
+        mass = (interval64.cell_measure * pair.u ** 2).sum()
         c = 3.7
         assert mu1_derivative(m, np.full(64, c)) == pytest.approx(
             c * mass, rel=1e-12)
