@@ -110,6 +110,15 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _number(value, key: str) -> float:
+    """float(value), or a ValidationError naming the config key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise errors.ValidationError(
+            f"{key} must be a number, got {value!r}") from exc
+
+
 def _weight_values(spec: dict, grid: Grid) -> np.ndarray:
     kind = spec["kind"]
     if kind == "explicit":
@@ -165,9 +174,10 @@ def parse_config(text: str) -> RunConfig:
     weight = dict(_require(doc, "weight", "config"))
     w_kind = _require(weight, "kind", "weight")
     if w_kind == "bang_bang":
-        pos = float(_require(weight, "positive_value", "weight"))
-        neg = float(_require(weight, "negative_value", "weight"))
-        frac = float(_require(weight, "positive_fraction", "weight"))
+        pos, neg, frac = (
+            _number(_require(weight, key, "weight"), f"weight.{key}")
+            for key in ("positive_value", "negative_value",
+                        "positive_fraction"))
         if not 0.0 < frac < 1.0:
             raise errors.ValidationError(
                 f"positive_fraction must lie in (0, 1), got {frac}")
@@ -185,7 +195,8 @@ def parse_config(text: str) -> RunConfig:
         weight.update(positive_value=pos, negative_value=neg,
                       positive_fraction=frac)
     elif w_kind == "explicit":
-        values = [float(v) for v in _require(weight, "values", "weight")]
+        values = [_number(v, "weight.values")
+                  for v in _require(weight, "values", "weight")]
         if not np.isfinite(values).all():
             raise errors.ValidationError(
                 "explicit weight values must be finite")
@@ -275,14 +286,15 @@ def _cmd_simulate(config: RunConfig, out: Path) -> int:
     m = config.build_weight(grid)
     opts = config.simulate
     v0_spec = opts.get("v0", 0.01)
-    v0 = np.full(grid.n_cells, float(v0_spec)) \
-        if np.isscalar(v0_spec) else np.asarray(v0_spec, dtype=float)
+    v0 = np.array([_number(v, "simulate.v0") for v in v0_spec]) \
+        if isinstance(v0_spec, list) \
+        else np.full(grid.n_cells, _number(v0_spec, "simulate.v0"))
     traj = simulate_logistic(
         m,
-        gamma=float(opts.get("gamma", 1.0)),
+        gamma=_number(opts.get("gamma", 1.0), "simulate.gamma"),
         v0=v0,
-        dt=float(opts.get("dt", 0.01)),
-        t_end=float(opts.get("t_end", 10.0)),
+        dt=_number(opts.get("dt", 0.01), "simulate.dt"),
+        t_end=_number(opts.get("t_end", 10.0), "simulate.t_end"),
     )
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_field_csv(out / "final_v.csv", traj.final_v, grid)

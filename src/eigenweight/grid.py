@@ -116,7 +116,8 @@ def build_grid(kind: str, extents, shape) -> Grid:
     extents : sequence of float
         Positive, finite side length per axis.
     shape : sequence of int
-        Cells per axis, each at least 2.
+        Cells per axis, each a whole number (16.0 counts as 16) and at
+        least 2.
 
     This is the one place domains are validated: every malformed
     descriptor raises InvalidSpec.
@@ -126,18 +127,21 @@ def build_grid(kind: str, extents, shape) -> Grid:
     dim = DOMAIN_KINDS[kind]
     try:
         extents = tuple(float(L) for L in np.atleast_1d(extents))
-        shape = tuple(int(n) for n in np.atleast_1d(shape))
+        counts = tuple(float(n) for n in np.atleast_1d(shape))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"extents and shape must be numbers: {exc}") \
             from exc
-    if len(extents) != dim or len(shape) != dim:
+    if len(extents) != dim or len(counts) != dim:
         raise InvalidSpec(
             f"{kind} domain needs {dim} extents and {dim} cell counts, "
-            f"got {len(extents)} and {len(shape)}"
+            f"got {len(extents)} and {len(counts)}"
         )
     if not all(0 < L < np.inf for L in extents):
         raise InvalidSpec(
             f"extents must be positive and finite, got {extents}")
+    if not all(n.is_integer() for n in counts):
+        raise InvalidSpec(f"cell counts must be whole numbers, got {counts}")
+    shape = tuple(int(n) for n in counts)
     if any(n < 2 for n in shape):
         raise InvalidSpec(f"cell counts must be at least 2, got {shape}")
 

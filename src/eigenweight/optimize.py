@@ -15,7 +15,6 @@ supports random restarts from seeded permutations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,23 +89,41 @@ def count_comonotone_violations(m, u, grid: Grid) -> int:
     """Pairs (i, j) with u_i > u_j but m_i < m_j.
 
     Zero exactly when m is an increasing function of u up to ties, the
-    fixed-point characterization of minimizers.
+    fixed-point characterization of minimizers.  Ordering the cells by u
+    descending, and by m descending among ties of u so that tied cells
+    form no pair, leaves the pairs in which m ascends: an inversion count
+    in O(n log n).
     """
     m = as_field(grid, m)
     u = as_field(grid, u)
-    order = np.argsort(-u, kind="stable")
-    u_sorted = u[order]
-    m_sorted = m[order]
+    order = np.lexsort((-m, -u))
+    _, rank = np.unique(m[order], return_inverse=True)
+    return _ascending_pairs(rank)
+
+
+def _ascending_pairs(rank: np.ndarray) -> int:
+    """Pairs a < b with rank[a] < rank[b], by a bottom-up merge sort.
+
+    Each level pairs adjacent sorted blocks of ``width`` entries; offsetting
+    the ranks by block makes all left blocks one sorted array, so one
+    ``searchsorted`` counts, for every right entry, the smaller left
+    entries of its own block.
+    """
+    n = rank.size
+    span = int(rank.max()) + 1 if n else 1
+    pos = np.arange(n)
     total = 0
-    # scan blocks of equal u; earlier blocks have strictly larger u
-    starts = np.flatnonzero(np.r_[True, u_sorted[1:] != u_sorted[:-1]])
-    ends = np.r_[starts[1:], u_sorted.size]
-    for s, e in zip(starts, ends):
-        rest = m_sorted[e:]
-        if rest.size == 0:
-            break
-        block = m_sorted[s:e]
-        total += int(np.sum(block[:, None] < rest[None, :]))
+    width = 1
+    while width < n:
+        block = pos // (2 * width)
+        key = block * span + rank
+        left = pos % (2 * width) < width
+        left_keys = key[left]
+        below = np.searchsorted(left_keys, key[~left])
+        earlier = np.searchsorted(left_keys, block[~left] * span)
+        total += int((below - earlier).sum())
+        rank = np.sort(key) - block * span
+        width *= 2
     return total
 
 
@@ -189,28 +206,46 @@ def oscillating_arrangement(cls: RearrangementClass, grid: Grid,
     reproduces the canonical arrangement; as k grows the field converges
     weakly-* to the constant mean, driving mu1 to zero and lambda1 to
     infinity.
+
+    The cells are dealt in class order, value by value and j = 0, 1, ...
+    within a value.  Cell j of a value with c cells aims at stripe
+    x_j = (j + 1/2) k / c - 1/2, whose nearest stripe never decreases in j,
+    so the cells aiming at one stripe form a contiguous run.  Each run
+    fills its stripe in bulk; only the cells that overflow a full stripe
+    search the open stripes one at a time, nearest to x_j first.
     """
     if k < 1 or grid.shape[0] % k != 0:
         raise IndivisibleStripes(
             f"stripe count {k} does not divide first-axis cells "
             f"{grid.shape[0]}")
-    n1 = grid.shape[0]
-    period = n1 // k
-    remaining = [grid.n_cells // k] * k
-    stripe_values: list = [[] for _ in range(k)]
-    for value, count in zip(cls.values, cls.cell_counts(grid)):
-        for j in range(count):
-            x = (j + 0.5) * k / count - 0.5  # ideal stripe index
-            s = min(max(math.ceil(x - 0.5), 0), k - 1)  # nearest, ties down
-            if remaining[s] == 0:
-                s = min((t for t in range(k) if remaining[t] > 0),
-                        key=lambda t: (abs(t - x), t))
-            stripe_values[s].append(value)
-            remaining[s] -= 1
+    n = grid.n_cells
+    period = grid.shape[0] // k
+    counts = cls.cell_counts(grid)
+    value_of = np.repeat(np.arange(counts.size), counts)
+    j = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    x = (j + 0.5) * k / np.repeat(counts, counts) - 0.5  # ideal stripe
+    stripe = np.clip(np.ceil(x - 0.5), 0, k - 1).astype(int)  # ties down
+    run_key = value_of * k + stripe  # nondecreasing: one run per key
+    starts = np.flatnonzero(np.r_[True, run_key[1:] != run_key[:-1]])
+    ends = np.r_[starts[1:], n]
 
-    out = np.empty(grid.n_cells)
-    i1 = np.arange(grid.n_cells) % n1
-    for s in range(k):
-        cells = np.flatnonzero(i1 // period == s)
-        out[cells] = np.sort(stripe_values[s])[::-1]
+    remaining = np.full(k, n // k)
+    for a, b, s in zip(starts.tolist(), ends.tolist(),
+                       stripe[starts].tolist()):
+        take = min(b - a, int(remaining[s]))
+        remaining[s] -= take
+        for i in range(a + take, b):
+            open_ = np.flatnonzero(remaining)
+            s_open = open_[np.argmin(np.abs(open_ - x[i]))]
+            stripe[i] = s_open
+            remaining[s_open] -= 1
+
+    # cells per (stripe, value); the profile is sorted descending
+    table = np.bincount(stripe * counts.size + value_of,
+                        minlength=k * counts.size)
+    stripes = np.repeat(np.tile(cls.values, k), table)
+    out = np.empty(n)
+    # stripe s holds cells s * period ... (s + 1) * period - 1 of each line
+    out.reshape(-1, k, period)[...] = \
+        stripes.reshape(k, -1, period).transpose(1, 0, 2)
     return out

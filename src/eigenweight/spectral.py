@@ -194,9 +194,10 @@ def _vm_basis(m: WeightField) -> np.ndarray:
 
 
 def _dense_pencil(m: WeightField):
-    """All eigenvalues/vectors of the pencil (W diag(m), K) restricted to V_m.
+    """The pencil (W diag(m), K) restricted to V_m, in the basis B.
 
-    Returns (vals ascending, vecs in cell coordinates).
+    Returns (A, S, B): an eigenvector y of A y = mu S y is the cell field
+    B y.
     """
     n = m.grid.n_cells
     if n > DENSE_CELL_LIMIT:
@@ -209,8 +210,7 @@ def _dense_pencil(m: WeightField):
     S = B.T @ (K @ B)
     A = 0.5 * (A + A.T)
     S = 0.5 * (S + S.T)
-    vals, vecs = scipy.linalg.eigh(A, S)
-    return vals, B @ vecs
+    return A, S, B
 
 
 def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray) -> EigenPair:
@@ -286,11 +286,13 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
     """
     _check_admissible(m)
     if solver == "dense":
-        vals, vecs = _dense_pencil(m)
-        mu1 = float(vals[-1])
+        A, S, B = _dense_pencil(m)
+        top = A.shape[0] - 1
+        vals, vecs = scipy.linalg.eigh(A, S, subset_by_index=[top, top])
+        mu1 = float(vals[0])
         if mu1 <= 0:  # pragma: no cover - admissible weights have mu1 > 0
             raise NoPositivePart("pencil has no positive eigenvalue")
-        return _finalize_eigenpair(m, mu1, vecs[:, -1])
+        return _finalize_eigenpair(m, mu1, B @ vecs[:, 0])
     if solver == "iterative":
         return _dct_iteration(m, tol)
     raise ValueError(f"unknown solver {solver!r}")
@@ -304,7 +306,8 @@ def signed_spectrum(m: WeightField, k: int) -> SignedSpectrum:
     """
     if m.integral == 0.0:
         raise ZeroWeightIntegral("weight integrates to zero")
-    vals, _ = _dense_pencil(m)
+    A, S, _ = _dense_pencil(m)
+    vals = scipy.linalg.eigh(A, S, eigvals_only=True)
     pos = vals[vals > 0][::-1][:k].copy()
     neg = vals[vals < 0][:k].copy()
     bound = float(np.max(np.abs(vals))) if vals.size else 0.0

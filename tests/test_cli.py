@@ -207,6 +207,42 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "out")]) == 3
         assert "finite" in capsys.readouterr().err
 
+    def test_fractional_shape_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "shape.json"
+        cfg.write_text(config_text(
+            domain={"type": "interval", "extents": [1.0], "shape": [16.7]}))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "whole numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["positive_value", "negative_value",
+                                     "positive_fraction", "values"])
+    def test_non_numeric_weight_exit_3(self, tmp_path, capsys, key):
+        weight = dict(BASE_CONFIG["weight"])
+        if key == "values":
+            weight = {"kind": "explicit", "values": [1.0, "one"] + [-2.0] * 62}
+        else:
+            weight[key] = "one"
+        cfg = tmp_path / "weight.json"
+        cfg.write_text(config_text(weight=weight))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"weight.{key} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["v0", "v0[1]", "gamma", "dt", "t_end"])
+    def test_non_numeric_simulate_input_exit_3(self, tmp_path, capsys, key):
+        simulate = dict(BASE_CONFIG["simulate"])
+        if key == "v0[1]":
+            simulate["v0"] = [0.01, "x"] + [0.01] * 62
+        else:
+            simulate[key] = "x"
+        cfg = tmp_path / "simulate.json"
+        cfg.write_text(config_text(simulate=simulate))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        name = key.removesuffix("[1]")
+        assert f"simulate.{name} must be a number" in capsys.readouterr().err
+
     def test_solve_ok_exit_0(self, tmp_path):
         cfg = tmp_path / "ok.json"
         cfg.write_text(config_text())

@@ -54,6 +54,14 @@ def test_malformed_descriptor(kind, extents, shape):
         build_grid(kind, extents, shape)
 
 
+def test_fractional_cell_count_rejected():
+    with pytest.raises(InvalidSpec, match="whole numbers"):
+        build_grid("interval", [1.0], [16.7])
+    with pytest.raises(InvalidSpec, match="whole numbers"):
+        build_grid("rectangle", [1.0, 1.0], [8, 4.5])
+    assert build_grid("rectangle", [1.0, 1.0], [16.0, 8.0]).shape == (16, 8)
+
+
 def test_kind_dimension_mismatch():
     with pytest.raises(InvalidSpec):
         build_grid("interval", [1.0, 1.0], [4, 4])

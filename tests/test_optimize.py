@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from eigenweight import (
     IndivisibleStripes,
@@ -49,6 +51,28 @@ class TestCheckMonotone:
         rep = check_monotone_x1(f, grid)
         assert rep.classification == "not_monotone"
         assert rep.per_line == ("decreasing", "increasing")
+
+
+class TestComonotoneViolations:
+    def test_matches_brute_force_pair_count(self, rng):
+        # few distinct levels give ties in both u and m
+        for shape in [(2,), (3,), (17,), (8, 5), (4, 3, 3)]:
+            kind = {1: "interval", 2: "rectangle", 3: "box"}[len(shape)]
+            grid = build_grid(kind, [1.0] * len(shape), shape)
+            for _ in range(20):
+                u = rng.integers(0, 5, grid.n_cells) * 0.25
+                m = rng.integers(-2, 2, grid.n_cells) * 0.5
+                brute = int(np.sum((u[:, None] > u[None, :])
+                                   & (m[:, None] < m[None, :])))
+                assert count_comonotone_violations(m, u, grid) == brute
+
+    def test_ties_in_u_count_no_pairs(self):
+        grid = build_grid("interval", [1.0], [6])
+        u = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+        assert count_comonotone_violations(
+            [-1.0, 0.0, 2.0, -3.0, 1.0, 5.0], u, grid) == 5
+        assert count_comonotone_violations(
+            [3.0, 2.0, 1.0, 1.0, 0.0, -1.0], u, grid) == 0
 
 
 class TestMinimize:
@@ -224,3 +248,47 @@ def test_oscillating_matches_brute_force_criterion_8():
                                          256, 256, k)
         assert oscillating_arrangement(cls, grid, k).tobytes() \
             == expected.tobytes()
+
+
+#: first-axis cell counts with several divisors, and transverse counts
+STRIPE_AXES = st.one_of(
+    st.tuples(st.sampled_from([4, 6, 8, 12, 16, 24, 30, 36, 48, 60, 64])),
+    st.tuples(st.sampled_from([4, 6, 8, 12, 16]), st.integers(2, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=STRIPE_AXES, data=st.data())
+def test_oscillating_matches_brute_force_property(shape, data):
+    grid = build_grid("interval" if len(shape) == 1 else "rectangle",
+                      [1.0] * len(shape), shape)
+    n, n1 = grid.n_cells, shape[0]
+    parts = data.draw(st.integers(2, min(5, n)))
+    cuts = data.draw(st.permutations(range(1, n)))[:parts - 1]
+    counts = np.diff([0] + sorted(cuts) + [n])
+    top = data.draw(st.floats(-10, 10))
+    gaps = data.draw(st.lists(st.floats(0.01, 5), min_size=parts,
+                              max_size=parts))
+    cls = decreasing_rearrangement(
+        np.repeat(top - np.cumsum(gaps), counts), grid)
+    hits = 0
+    for k in (k for k in range(1, n1 + 1) if n1 % k == 0):
+        expected, hit_full = oscillating_layout(
+            cls.values, cls.cell_counts(grid), n1, n, k)
+        assert oscillating_arrangement(cls, grid, k).tobytes() \
+            == expected.tobytes(), (counts, k)
+        hits += hit_full
+    # steer the search toward layouts whose nearest stripe is full
+    target(float(hits))
+
+
+def test_oscillating_matches_brute_force_64x32():
+    grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
+    cls, _ = bang_bang_class(grid, 683)
+    hits = 0
+    for k in (k for k in range(1, 65) if 64 % k == 0):
+        expected, hit_full = oscillating_layout(
+            cls.values, cls.cell_counts(grid), 64, grid.n_cells, k)
+        assert oscillating_arrangement(cls, grid, k).tobytes() \
+            == expected.tobytes(), k
+        hits += hit_full
+    assert hits == 6  # every k > 1 fills some nearest stripe
