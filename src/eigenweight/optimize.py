@@ -89,41 +89,23 @@ def count_comonotone_violations(m, u, grid: Grid) -> int:
     """Pairs (i, j) with u_i > u_j but m_i < m_j.
 
     Zero exactly when m is an increasing function of u up to ties, the
-    fixed-point characterization of minimizers.  Ordering the cells by u
-    descending, and by m descending among ties of u so that tied cells
-    form no pair, leaves the pairs in which m ascends: an inversion count
-    in O(n log n).
+    fixed-point characterization of minimizers.
     """
     m = as_field(grid, m)
     u = as_field(grid, u)
-    order = np.lexsort((-m, -u))
-    _, rank = np.unique(m[order], return_inverse=True)
-    return _ascending_pairs(rank)
-
-
-def _ascending_pairs(rank: np.ndarray) -> int:
-    """Pairs a < b with rank[a] < rank[b], by a bottom-up merge sort.
-
-    Each level pairs adjacent sorted blocks of ``width`` entries; offsetting
-    the ranks by block makes all left blocks one sorted array, so one
-    ``searchsorted`` counts, for every right entry, the smaller left
-    entries of its own block.
-    """
-    n = rank.size
-    span = int(rank.max()) + 1 if n else 1
-    pos = np.arange(n)
+    order = np.argsort(-u, kind="stable")
+    u_sorted = u[order]
+    m_sorted = m[order]
     total = 0
-    width = 1
-    while width < n:
-        block = pos // (2 * width)
-        key = block * span + rank
-        left = pos % (2 * width) < width
-        left_keys = key[left]
-        below = np.searchsorted(left_keys, key[~left])
-        earlier = np.searchsorted(left_keys, block[~left] * span)
-        total += int((below - earlier).sum())
-        rank = np.sort(key) - block * span
-        width *= 2
+    # scan blocks of equal u; earlier blocks have strictly larger u
+    starts = np.flatnonzero(np.r_[True, u_sorted[1:] != u_sorted[:-1]])
+    ends = np.r_[starts[1:], u_sorted.size]
+    for s, e in zip(starts, ends):
+        rest = m_sorted[e:]
+        if rest.size == 0:
+            break
+        block = m_sorted[s:e]
+        total += int(np.sum(block[:, None] < rest[None, :]))
     return total
 
 
