@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .grid import Grid, build_grid
+from .grid import Grid, build_grid, integrate
 from .grid import assemble_stiffness as _assemble_stiffness
 from .logistic import simulate_logistic
 from .optimize import minimize_lambda1, oscillating_arrangement
@@ -81,7 +81,11 @@ def _exit_code(exc: errors.EigenweightError, quiet: bool) -> int:
 
 @dataclass
 class RunConfig:
-    """Validated run description parsed from a config document."""
+    """Validated run description parsed from a config document.
+
+    ``parse_config`` fills each option section with every key it reads,
+    typed and checked.
+    """
 
     domain_kind: str
     extents: tuple
@@ -119,6 +123,45 @@ def _number(value, key: str) -> float:
             f"{key} must be a number, got {value!r}") from exc
 
 
+def _integer(value, key: str, minimum: int) -> int:
+    """A whole number of at least ``minimum``, or a ValidationError."""
+    number = _number(value, key)
+    if not (number.is_integer() and number >= minimum):
+        raise errors.ValidationError(
+            f"{key} must be a whole number of at least {minimum}, "
+            f"got {value!r}")
+    return int(number)
+
+
+def _tolerance(value, key: str) -> float:
+    tol = _number(value, key)
+    if not 0.0 <= tol < np.inf:
+        raise errors.ValidationError(
+            f"{key} must be finite and nonnegative, got {value!r}")
+    return tol
+
+
+def _choice(value, key: str, allowed: tuple):
+    if value not in allowed:
+        raise errors.ValidationError(
+            f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise errors.ValidationError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _section(doc: dict, name: str) -> dict:
+    spec = doc.get(name, {})
+    if not isinstance(spec, dict):
+        raise errors.ValidationError(f"{name} must be an object, "
+                                     f"got {spec!r}")
+    return spec
+
+
 def _weight_values(spec: dict, grid: Grid) -> np.ndarray:
     kind = spec["kind"]
     if kind == "explicit":
@@ -151,7 +194,9 @@ def parse_config(text: str) -> RunConfig:
     Structural problems (malformed JSON, missing keys, wrong version)
     raise ParseError with the offending line or key; value problems raise
     an InputError naming the violated precondition (InvalidSpec from
-    ``build_grid`` for the domain, ValidationError for the rest).
+    ``build_grid`` for the domain, ValidationError naming the key for the
+    rest).  Every section comes back complete, defaults filled in and
+    values typed, so the commands convert nothing.
     """
     try:
         doc = json.loads(text)
@@ -187,16 +232,17 @@ def parse_config(text: str) -> RunConfig:
                 "negative_value")
         if not np.isfinite([pos, neg, frac]).all():
             raise errors.ValidationError("bang-bang values must be finite")
-        mean = frac * pos + (1.0 - frac) * neg
-        if mean >= 0:
-            raise errors.ValidationError(
-                f"admissibility violated: ∫m ≥ 0 "
-                f"(mean value {mean:g})")
         weight.update(positive_value=pos, negative_value=neg,
                       positive_fraction=frac)
+        # the field rounded to cells is what gets solved
+        total = integrate(grid, _weight_values(weight, grid))
+        if total >= 0:
+            raise errors.ValidationError(
+                f"admissibility violated: ∫m ≥ 0 (integral {total:g} "
+                f"over {grid.n_cells} cells)")
     elif w_kind == "explicit":
-        values = [_number(v, "weight.values")
-                  for v in _require(weight, "values", "weight")]
+        values = [_number(v, "weight.values") for v in _list(
+            _require(weight, "values", "weight"), "weight.values")]
         if not np.isfinite(values).all():
             raise errors.ValidationError(
                 "explicit weight values must be finite")
@@ -206,21 +252,52 @@ def parse_config(text: str) -> RunConfig:
     else:
         raise errors.ValidationError(f"unknown weight kind {w_kind!r}")
 
-    sections = {name: dict(doc.get(name, {}))
-                for name in ("solve", "optimize", "rearrange", "simulate")}
-    for name in ("solve", "optimize"):
-        solver = sections[name].get("solver", "dense")
-        if solver not in SOLVERS:
-            raise errors.ValidationError(
-                f"{name}.solver must be one of {', '.join(SOLVERS)}, "
-                f"got {solver!r}")
-
+    solve = _section(doc, "solve")
+    optimize = _section(doc, "optimize")
+    rearrange = _section(doc, "rearrange")
+    simulate = _section(doc, "simulate")
+    v0 = simulate.get("v0", 0.01)
+    dump = solve.get("dump_stiffness", False)
+    if not isinstance(dump, bool):
+        raise errors.ValidationError(
+            f"solve.dump_stiffness must be true or false, got {dump!r}")
     return RunConfig(
         domain_kind=domain["type"],
         extents=grid.extents,
         shape=grid.shape,
         weight=weight,
-        **sections,
+        solve={
+            "solver": _choice(solve.get("solver", "dense"), "solve.solver",
+                              SOLVERS),
+            "tol": _tolerance(solve.get("tol", 1e-12), "solve.tol"),
+            "spectrum": _integer(solve.get("spectrum", 0), "solve.spectrum",
+                                 0),
+            "dump_stiffness": dump,
+        },
+        optimize={
+            "solver": _choice(optimize.get("solver", "dense"),
+                              "optimize.solver", SOLVERS),
+            "tol": _tolerance(optimize.get("tol", 1e-12), "optimize.tol"),
+            "max_iters": _integer(optimize.get("max_iters", 200),
+                                  "optimize.max_iters", 0),
+            "restarts": _integer(optimize.get("restarts", 1),
+                                 "optimize.restarts", 1),
+            "seed": _integer(optimize.get("seed", 0), "optimize.seed", 0),
+        },
+        rearrange={
+            "direction": _choice(rearrange.get("direction", "decreasing"),
+                                 "rearrange.direction",
+                                 ("decreasing", "increasing")),
+            "stripes": [_integer(k, "rearrange.stripes", 1) for k in _list(
+                rearrange.get("stripes", []), "rearrange.stripes")],
+        },
+        simulate={
+            "v0": [_number(v, "simulate.v0") for v in v0]
+            if isinstance(v0, list) else _number(v0, "simulate.v0"),
+            "gamma": _number(simulate.get("gamma", 1.0), "simulate.gamma"),
+            "dt": _number(simulate.get("dt", 0.01), "simulate.dt"),
+            "t_end": _number(simulate.get("t_end", 10.0), "simulate.t_end"),
+        },
         output_dir=str(doc.get("output_dir", "out")),
     )
 
@@ -228,20 +305,17 @@ def parse_config(text: str) -> RunConfig:
 def _cmd_solve(config: RunConfig, out: Path) -> int:
     grid = config.build_grid()
     m = config.build_weight(grid)
-    pair = principal_eigenpair(
-        m,
-        solver=config.solve.get("solver", "dense"),
-        tol=float(config.solve.get("tol", 1e-12)),
-    )
+    opts = config.solve
+    pair = principal_eigenpair(m, solver=opts["solver"], tol=opts["tol"])
     payload = eigenpair_payload(pair)
     payload["n_cells"] = grid.n_cells
     write_json(out / "eigenpair.json", payload)
     write_field_csv(out / "u.csv", pair.u, grid)
-    if config.solve.get("dump_stiffness"):
+    if opts["dump_stiffness"]:
         write_stiffness_coo(out / "stiffness.txt", _assemble_stiffness(grid))
-    n_eigs = int(config.solve.get("spectrum", 0))
-    if n_eigs > 0:
-        write_spectrum_csv(out / "spectrum.csv", signed_spectrum(m, n_eigs))
+    if opts["spectrum"] > 0:
+        write_spectrum_csv(out / "spectrum.csv",
+                           signed_spectrum(m, opts["spectrum"]))
     return EXIT_OK
 
 
@@ -249,15 +323,14 @@ def _cmd_optimize(config: RunConfig, out: Path, seed_override) -> int:
     grid = config.build_grid()
     cls = config.build_class(grid)
     opts = config.optimize
-    seed = int(opts.get("seed", 0)) if seed_override is None \
-        else int(seed_override)
+    seed = opts["seed"] if seed_override is None else int(seed_override)
     result = minimize_lambda1(
         cls, grid,
-        max_iters=int(opts.get("max_iters", 200)),
-        tol=float(opts.get("tol", 1e-12)),
-        restarts=int(opts.get("restarts", 1)),
+        max_iters=opts["max_iters"],
+        tol=opts["tol"],
+        restarts=opts["restarts"],
         seed=seed,
-        solver=opts.get("solver", "dense"),
+        solver=opts["solver"],
     )
     write_json(out / "optimization.json", optimization_payload(result))
     write_field_csv(out / "final_m.csv", result.final_m, grid)
@@ -268,16 +341,14 @@ def _cmd_optimize(config: RunConfig, out: Path, seed_override) -> int:
 def _cmd_rearrange(config: RunConfig, out: Path) -> int:
     grid = config.build_grid()
     values = _weight_values(config.weight, grid)
-    direction = config.rearrange.get("direction", "decreasing")
+    direction = config.rearrange["direction"]
     cls = decreasing_rearrangement(values, grid)
     write_profile_csv(out / "profile.csv", cls)
     write_field_csv(out / "monotone_m.csv",
                     monotone_x1_rearrangement(values, grid, direction), grid)
-    stripes = config.rearrange.get("stripes")
-    if stripes:
-        for k in stripes:
-            field_k = oscillating_arrangement(cls, grid, int(k))
-            write_field_csv(out / f"oscillating_k{int(k)}.csv", field_k, grid)
+    for k in config.rearrange["stripes"]:
+        write_field_csv(out / f"oscillating_k{k}.csv",
+                        oscillating_arrangement(cls, grid, k), grid)
     return EXIT_OK
 
 
@@ -285,17 +356,10 @@ def _cmd_simulate(config: RunConfig, out: Path) -> int:
     grid = config.build_grid()
     m = config.build_weight(grid)
     opts = config.simulate
-    v0_spec = opts.get("v0", 0.01)
-    v0 = np.array([_number(v, "simulate.v0") for v in v0_spec]) \
-        if isinstance(v0_spec, list) \
-        else np.full(grid.n_cells, _number(v0_spec, "simulate.v0"))
-    traj = simulate_logistic(
-        m,
-        gamma=_number(opts.get("gamma", 1.0), "simulate.gamma"),
-        v0=v0,
-        dt=_number(opts.get("dt", 0.01), "simulate.dt"),
-        t_end=_number(opts.get("t_end", 10.0), "simulate.t_end"),
-    )
+    v0 = np.array(opts["v0"]) if isinstance(opts["v0"], list) \
+        else np.full(grid.n_cells, opts["v0"])
+    traj = simulate_logistic(m, gamma=opts["gamma"], v0=v0, dt=opts["dt"],
+                             t_end=opts["t_end"])
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_field_csv(out / "final_v.csv", traj.final_v, grid)
     write_json(out / "simulation.json", {

@@ -283,8 +283,23 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
     (the oracle path, refused above ``DENSE_CELL_LIMIT`` cells) or ARPACK
     on the DCT kernel ("iterative", no size cap); both paths return the
     eigenfunction normalized by u^T K u = 1 with the sign fixed positive.
+
+    Both paths solve on m / 2^e with 2^e the power of two just above
+    max|m|, and scale mu1 back by degree-1 homogeneity.  The division is
+    exact, so weights of ordinary scale give the bytes an unscaled solve
+    gives, and weights near the overflow or underflow threshold solve too.
     """
     _check_admissible(m)
+    exp = int(np.frexp(np.abs(m.values).max())[1])
+    pair = _unit_eigenpair(weight_field(m.grid, np.ldexp(m.values, -exp)),
+                           solver, tol)
+    return EigenPair(mu1=float(np.ldexp(pair.mu1, exp)),
+                     lambda1=float(np.ldexp(pair.lambda1, -exp)),
+                     u=pair.u, residual=pair.residual)
+
+
+def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
+    """``principal_eigenpair`` of a weight with max|m| in [1/2, 1)."""
     if solver == "dense":
         A, S, B = _dense_pencil(m)
         top = A.shape[0] - 1

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from eigenweight import ParseError, ValidationError, errors
+from eigenweight import ParseError, ValidationError, errors, verify
 from eigenweight.cli import execute, main, parse_config
 from eigenweight.serialize import read_field_csv
 
@@ -39,6 +39,15 @@ class TestParseConfig:
                                    "positive_value": 1.0,
                                    "negative_value": -1.0,
                                    "positive_fraction": 0.9})
+        with pytest.raises(ValidationError, match="∫m ≥ 0"):
+            parse_config(text)
+
+    def test_bang_bang_admissibility_on_rounded_field(self):
+        # fraction 0.3 has mean -0.1, but on 2 cells it rounds to +2 | -1
+        text = config_text(
+            domain={"type": "interval", "extents": [1.0], "shape": [2]},
+            weight={"kind": "bang_bang", "positive_value": 2.0,
+                    "negative_value": -1.0, "positive_fraction": 0.3})
         with pytest.raises(ValidationError, match="∫m ≥ 0"):
             parse_config(text)
 
@@ -243,6 +252,29 @@ class TestMainExitCodes:
         name = key.removesuffix("[1]")
         assert f"simulate.{name} must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,section,key,bad", [
+        ("solve", "solve", "tol", "x"),
+        ("solve", "solve", "tol", np.nan),
+        ("solve", "solve", "spectrum", "x"),
+        ("solve", "solve", "dump_stiffness", "false"),
+        ("optimize", "optimize", "max_iters", "x"),
+        ("optimize", "optimize", "restarts", 0),
+        ("solve", "weight", "values", 5),
+        ("rearrange", "rearrange", "direction", "sideways"),
+        ("rearrange", "rearrange", "stripes", ["x"]),
+        ("rearrange", "rearrange", "stripes", [2.5]),
+    ])
+    def test_bad_section_value_exit_3(self, tmp_path, capsys, command,
+                                      section, key, bad):
+        spec = {"kind": "explicit"} if section == "weight" \
+            else dict(BASE_CONFIG.get(section, {}))
+        spec[key] = bad
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config_text(**{section: spec}))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_solve_ok_exit_0(self, tmp_path):
         cfg = tmp_path / "ok.json"
         cfg.write_text(config_text())
@@ -282,7 +314,23 @@ class TestVerifyAndDumps:
         assert code == 0
         report = (tmp_path / "verify_report.txt").read_text()
         assert "FAIL" not in report
+        assert all(f"PASS criterion_{i}_" in report for i in range(1, 11))
         assert report.strip().endswith("checks passed")
+
+    def test_verify_failure_exit_4(self, tmp_path, monkeypatch):
+        def check_fails(rng):
+            raise verify.CheckFailed("broken on purpose")
+
+        def check_raises(rng):
+            raise ZeroDivisionError("raised on purpose")
+
+        monkeypatch.setattr(verify, "ALL_CHECKS", (check_fails, check_raises))
+        assert main(["verify", "--out", str(tmp_path), "--quiet"]) == 4
+        assert (tmp_path / "verify_report.txt").read_text().splitlines() == [
+            "FAIL fails: broken on purpose",
+            "FAIL raises: raised ZeroDivisionError: raised on purpose",
+            "0/2 checks passed",
+        ]
 
     def test_iteration_limit_exit_5_with_partial_output(self, tmp_path):
         config = parse_config(config_text(
@@ -313,21 +361,3 @@ class TestVerifyAndDumps:
         spectrum = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert spectrum[0] == "k,mu_positive,mu_negative"
         assert len(spectrum) == 5
-
-
-def strip_timestamp(text: str) -> str:
-    return "\n".join(line for line in text.splitlines()
-                     if '"timestamp"' not in line)
-
-
-def test_optimize_determinism(tmp_path):
-    config = parse_config(config_text())
-    execute(config, "optimize", out_dir=tmp_path / "a", quiet=True)
-    execute(config, "optimize", out_dir=tmp_path / "b", quiet=True)
-    json_a = strip_timestamp((tmp_path / "a/optimization.json").read_text())
-    json_b = strip_timestamp((tmp_path / "b/optimization.json").read_text())
-    assert json_a == json_b
-    assert (tmp_path / "a/final_m.csv").read_bytes() == \
-        (tmp_path / "b/final_m.csv").read_bytes()
-    assert (tmp_path / "a/final_u.csv").read_bytes() == \
-        (tmp_path / "b/final_u.csv").read_bytes()

@@ -201,15 +201,6 @@ class TestOscillating:
             out = oscillating_arrangement(cls, grid, k)
             assert equimeasurable(out, values, grid)
 
-    def test_mu1_strictly_decreasing_in_stripes(self):
-        grid = build_grid("interval", [1.0], [64])
-        cls, _ = bang_bang_class(grid, 16)
-        mus = []
-        for k in (1, 2, 4, 8):
-            field = oscillating_arrangement(cls, grid, k)
-            mus.append(principal_eigenpair(weight_field(grid, field)).mu1)
-        assert all(b < a for a, b in zip(mus, mus[1:]))
-
 
 def _compositions(n, parts):
     """All ways to write n as an ordered sum of `parts` positive counts."""
