@@ -51,6 +51,7 @@ from .rearrange import (
 from .spectral import (
     EigenPair,
     SignedSpectrum,
+    SolveStats,
     WeightField,
     mu1_derivative,
     mu1_extended,
@@ -66,7 +67,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid", "build_grid", "assemble_stiffness", "axis_stiffness", "integrate",
-    "WeightField", "EigenPair", "SignedSpectrum", "weight_field",
+    "WeightField", "EigenPair", "SolveStats", "SignedSpectrum",
+    "weight_field",
     "project_mean_zero", "solution_operator", "principal_eigenpair",
     "signed_spectrum", "rayleigh_quotient", "mu1_derivative", "mu1_extended",
     "RearrangementClass", "MajorizationReport", "distribution_function",

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +109,15 @@ class RunConfig:
                                         grid)
 
 
+def _object(spec, context: str) -> dict:
+    if not isinstance(spec, dict):
+        raise errors.ValidationError(f"{context} must be an object, "
+                                     f"got {spec!r}")
+    return spec
+
+
 def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
+    if key not in _object(mapping, context):
         raise errors.ParseError(f"missing key {key!r} in {context}")
     return mapping[key]
 
@@ -154,12 +162,91 @@ def _list(value, key: str) -> list:
     return value
 
 
-def _section(doc: dict, name: str) -> dict:
-    spec = doc.get(name, {})
-    if not isinstance(spec, dict):
-        raise errors.ValidationError(f"{name} must be an object, "
-                                     f"got {spec!r}")
+def _flag(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise errors.ValidationError(
+            f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _v0(value, key: str):
+    """One initial density for every cell, or a list with one per cell."""
+    if isinstance(value, list):
+        return [_number(v, key) for v in value]
+    return _number(value, key)
+
+
+def _stripes(value, key: str) -> list:
+    return [_integer(k, key, 1) for k in _list(value, key)]
+
+
+#: option section -> key -> (default, converter(value, "section.key"))
+_OPTIONS = {
+    "solve": {
+        "solver": ("dense", partial(_choice, allowed=SOLVERS)),
+        "tol": (1e-12, _tolerance),
+        "spectrum": (0, partial(_integer, minimum=0)),
+        "dump_stiffness": (False, _flag),
+    },
+    "optimize": {
+        "solver": ("dense", partial(_choice, allowed=SOLVERS)),
+        "tol": (1e-12, _tolerance),
+        "max_iters": (200, partial(_integer, minimum=0)),
+        "restarts": (1, partial(_integer, minimum=1)),
+        "seed": (0, partial(_integer, minimum=0)),
+    },
+    "rearrange": {
+        "direction": ("decreasing", partial(
+            _choice, allowed=("decreasing", "increasing"))),
+        "stripes": ([], _stripes),
+    },
+    "simulate": {
+        "v0": (0.01, _v0),
+        "gamma": (1.0, _number),
+        "dt": (0.01, _number),
+        "t_end": (10.0, _number),
+    },
+}
+
+#: the keys of a config document and of its domain and weight objects
+_CONFIG_KEYS = ("version", "domain", "weight", *_OPTIONS, "output_dir")
+_DOMAIN_KEYS = ("type", "extents", "shape")
+_WEIGHT_KEYS = {
+    "bang_bang": ("positive_value", "negative_value", "positive_fraction"),
+    "explicit": ("values",),
+    "profile": ("path",),
+}
+
+
+def _closed(spec, context: str, allowed) -> dict:
+    """``spec``, checked to be an object with no key outside ``allowed``."""
+    unknown = sorted(set(_object(spec, context)) - set(allowed))
+    if unknown:
+        raise errors.ValidationError(
+            f"unknown key {unknown[0]!r} in {context}; allowed keys: "
+            f"{', '.join(allowed)}")
     return spec
+
+
+def _options(doc: dict, name: str) -> dict:
+    """The option section ``name``, every key typed, defaults filled in."""
+    table = _OPTIONS[name]
+    spec = _closed(doc.get(name, {}), name, table)
+    return {key: convert(spec.get(key, default), f"{name}.{key}")
+            for key, (default, convert) in table.items()}
+
+
+def _read_profile(path) -> list:
+    """The (value, measure) rows of a profile CSV, or a ValidationError
+    naming the path."""
+    if not isinstance(path, str):
+        raise errors.ValidationError(
+            f"weight.path must be a string, got {path!r}")
+    try:
+        return read_profile_csv(path)
+    except (OSError, ValueError, errors.ParseError) as exc:
+        raise errors.ValidationError(
+            f"weight.path {path!r} is not a readable profile: {exc}") from exc
 
 
 def _weight_values(spec: dict, grid: Grid) -> np.ndarray:
@@ -178,7 +265,7 @@ def _weight_values(spec: dict, grid: Grid) -> np.ndarray:
         values[:n_pos] = spec["positive_value"]
         return values
     if kind == "profile":
-        pairs = read_profile_csv(spec["path"])
+        pairs = _read_profile(spec["path"])
         cls = RearrangementClass(
             profile=tuple(sorted(pairs, key=lambda p: -p[0])),
             total_measure=float(sum(s for _, s in pairs)),
@@ -195,8 +282,10 @@ def parse_config(text: str) -> RunConfig:
     raise ParseError with the offending line or key; value problems raise
     an InputError naming the violated precondition (InvalidSpec from
     ``build_grid`` for the domain, ValidationError naming the key for the
-    rest).  Every section comes back complete, defaults filled in and
-    values typed, so the commands convert nothing.
+    rest).  Every object is closed: a key it does not define is a
+    ValidationError naming the key and the allowed ones.  Every section
+    comes back complete, defaults filled in and values typed, so the
+    commands convert nothing.
     """
     try:
         doc = json.loads(text)
@@ -210,19 +299,22 @@ def parse_config(text: str) -> RunConfig:
         raise errors.ParseError(
             f"unsupported config version {version!r}, expected "
             f"{CONFIG_VERSION}")
+    _closed(doc, "config", _CONFIG_KEYS)
 
-    domain = _require(doc, "domain", "config")
+    domain = _closed(_require(doc, "domain", "config"), "domain",
+                     _DOMAIN_KEYS)
     grid = build_grid(_require(domain, "type", "domain"),
                       _require(domain, "extents", "domain"),
                       _require(domain, "shape", "domain"))
 
-    weight = dict(_require(doc, "weight", "config"))
-    w_kind = _require(weight, "kind", "weight")
+    weight = _require(doc, "weight", "config")
+    w_kind = _choice(_require(weight, "kind", "weight"), "weight.kind",
+                     tuple(_WEIGHT_KEYS))
+    weight = dict(_closed(weight, "weight", ("kind", *_WEIGHT_KEYS[w_kind])))
     if w_kind == "bang_bang":
         pos, neg, frac = (
             _number(_require(weight, key, "weight"), f"weight.{key}")
-            for key in ("positive_value", "negative_value",
-                        "positive_fraction"))
+            for key in _WEIGHT_KEYS["bang_bang"])
         if not 0.0 < frac < 1.0:
             raise errors.ValidationError(
                 f"positive_fraction must lie in (0, 1), got {frac}")
@@ -247,57 +339,16 @@ def parse_config(text: str) -> RunConfig:
             raise errors.ValidationError(
                 "explicit weight values must be finite")
         weight["values"] = values
-    elif w_kind == "profile":
-        _require(weight, "path", "weight")
     else:
-        raise errors.ValidationError(f"unknown weight kind {w_kind!r}")
+        _require(weight, "path", "weight")
+        _weight_values(weight, grid)  # reads and checks the profile CSV
 
-    solve = _section(doc, "solve")
-    optimize = _section(doc, "optimize")
-    rearrange = _section(doc, "rearrange")
-    simulate = _section(doc, "simulate")
-    v0 = simulate.get("v0", 0.01)
-    dump = solve.get("dump_stiffness", False)
-    if not isinstance(dump, bool):
-        raise errors.ValidationError(
-            f"solve.dump_stiffness must be true or false, got {dump!r}")
     return RunConfig(
         domain_kind=domain["type"],
         extents=grid.extents,
         shape=grid.shape,
         weight=weight,
-        solve={
-            "solver": _choice(solve.get("solver", "dense"), "solve.solver",
-                              SOLVERS),
-            "tol": _tolerance(solve.get("tol", 1e-12), "solve.tol"),
-            "spectrum": _integer(solve.get("spectrum", 0), "solve.spectrum",
-                                 0),
-            "dump_stiffness": dump,
-        },
-        optimize={
-            "solver": _choice(optimize.get("solver", "dense"),
-                              "optimize.solver", SOLVERS),
-            "tol": _tolerance(optimize.get("tol", 1e-12), "optimize.tol"),
-            "max_iters": _integer(optimize.get("max_iters", 200),
-                                  "optimize.max_iters", 0),
-            "restarts": _integer(optimize.get("restarts", 1),
-                                 "optimize.restarts", 1),
-            "seed": _integer(optimize.get("seed", 0), "optimize.seed", 0),
-        },
-        rearrange={
-            "direction": _choice(rearrange.get("direction", "decreasing"),
-                                 "rearrange.direction",
-                                 ("decreasing", "increasing")),
-            "stripes": [_integer(k, "rearrange.stripes", 1) for k in _list(
-                rearrange.get("stripes", []), "rearrange.stripes")],
-        },
-        simulate={
-            "v0": [_number(v, "simulate.v0") for v in v0]
-            if isinstance(v0, list) else _number(v0, "simulate.v0"),
-            "gamma": _number(simulate.get("gamma", 1.0), "simulate.gamma"),
-            "dt": _number(simulate.get("dt", 0.01), "simulate.dt"),
-            "t_end": _number(simulate.get("t_end", 10.0), "simulate.t_end"),
-        },
+        **{name: _options(doc, name) for name in _OPTIONS},
         output_dir=str(doc.get("output_dir", "out")),
     )
 

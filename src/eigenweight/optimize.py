@@ -15,6 +15,7 @@ supports random restarts from seeded permutations.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,12 @@ class OptimizationResult:
     """Outcome of the fixed-point minimization.
 
     ``trace`` lists (iteration, mu1, lambda1, changed_cells) for the best
-    restart; mu1 is nondecreasing along it.  ``comonotone_violations``
-    counts cell pairs ordered against the final eigenfunction (zero at a
-    true fixed point) and ``monotone_x1`` summarizes the final weight's
-    monotonicity along the first axis.
+    restart; mu1 is nondecreasing along it.  ``restarts_skipped`` counts
+    the restarts stopped early on an arrangement an earlier restart had
+    solved.  ``comonotone_violations`` counts cell pairs ordered against
+    the final eigenfunction (zero at a true fixed point) and
+    ``monotone_x1`` summarizes the final weight's monotonicity along the
+    first axis.
     """
 
     final_m: np.ndarray
@@ -55,6 +58,7 @@ class OptimizationResult:
     trace: tuple
     converged: bool
     restarts_used: int
+    restarts_skipped: int
     comonotone_violations: int
     monotone_x1: MonotonicityReport
 
@@ -136,6 +140,12 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     exactly.  Across restarts the iterate with the largest mu1 (smallest
     lambda1) wins, ties resolved toward the earlier restart.  Hitting
     ``max_iters`` is reported through ``converged=False``, not an error.
+
+    Solves are deterministic, so a restart that reaches an arrangement a
+    converged earlier restart visited would repeat that restart's path to
+    the same fixed point, and a tie cannot win.  Such a restart stops
+    there, provided its remaining sweeps would have reached the fixed
+    point; the result is the one the full runs give.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(
@@ -144,23 +154,43 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
         raise ValueError("restarts must be at least 1")
 
     best = None
+    skipped = 0
+    # digest of an arrangement on a converging path -> the sweeps from it
+    # to that path's fixed-point check
+    sweeps_left = {}
     for m0 in _start_fields(cls, grid, restarts, seed):
         m = m0
-        pair = principal_eigenpair(weight_field(grid, m), solver=solver,
-                                   tol=tol)
-        trace = [(0, pair.mu1, pair.lambda1, 0)]
+        visited = []
+        trace = []
+        changed = 0
         converged = False
-        for it in range(1, max_iters + 1):
+        left = 0
+        for it in range(max_iters + 1):
+            key = hashlib.sha256(m.tobytes()).digest()
+            known = sweeps_left.get(key)
+            if known is not None and it + known <= max_iters:
+                left = known
+                break
+            visited.append(key)
+            pair = principal_eigenpair(weight_field(grid, m), solver=solver,
+                                       tol=tol)
+            trace.append((it, pair.mu1, pair.lambda1, changed))
+            if it == max_iters:
+                break
             m_next = comonotone_arrangement(cls, pair.u, grid)
             changed = int(np.count_nonzero(m_next != m))
             if changed == 0:
                 converged = True
-                trace.append((it, pair.mu1, pair.lambda1, 0))
+                trace.append((it + 1, pair.mu1, pair.lambda1, 0))
                 break
             m = m_next
-            pair = principal_eigenpair(weight_field(grid, m), solver=solver,
-                                       tol=tol)
-            trace.append((it, pair.mu1, pair.lambda1, changed))
+        if converged or left:
+            n_visited = len(visited)
+            sweeps_left.update((key, n_visited + left - i)
+                               for i, key in enumerate(visited))
+        if left:
+            skipped += 1
+            continue
         candidate = (pair.mu1, m, pair, tuple(trace), converged)
         if best is None or candidate[0] > best[0]:
             best = candidate
@@ -172,6 +202,7 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
         trace=trace,
         converged=converged,
         restarts_used=restarts,
+        restarts_skipped=skipped,
         comonotone_violations=count_comonotone_violations(m, pair.u, grid),
         monotone_x1=check_monotone_x1(m, grid),
     )

@@ -133,6 +133,9 @@ def eigenpair_payload(pair: EigenPair) -> dict:
         "mu1": pair.mu1,
         "lambda1": pair.lambda1,
         "residual": pair.residual,
+        "path": pair.stats.path,
+        "applies": pair.stats.applies,
+        "sigma": pair.stats.sigma,
     }
 
 
@@ -143,6 +146,7 @@ def optimization_payload(result: OptimizationResult) -> dict:
         "residual": result.final_pair.residual,
         "converged": result.converged,
         "restarts_used": result.restarts_used,
+        "restarts_skipped": result.restarts_skipped,
         "comonotone_violations": result.comonotone_violations,
         "monotone_x1": {
             "classification": result.monotone_x1.classification,

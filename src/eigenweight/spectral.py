@@ -20,18 +20,33 @@ operator
 
     S = Lambda^{-1/2} C (diag(q) - q q^T / int m) C^T Lambda^{-1/2}
 
-on the non-constant DCT modes; ARPACK (``eigsh``) finds its largest
-eigenvalue mu1 at two transforms per apply, and the eigenfunction is
-u = P C^T Lambda^{-1/2} y.  The solution operator is P K^+ P^T (diag(q) f)
-through the same kernel.
+on the non-constant DCT modes.  The solution operator is P K^+ P^T
+(diag(q) f) through the same kernel.
+
+The iterative path runs in two stages.  ARPACK (``eigsh``) first seeks the
+largest eigenvalue mu1 of S at two transforms per apply, within
+``_PROBE_RESTARTS`` restarts; the eigenfunction is u = P C^T Lambda^{-1/2} y.
+Smooth weights converge there.  A rough weight crowds the top of the
+spectrum of S (gaps under 1%), and ARPACK then stalls for hundreds of
+applies, so the solve falls back to spectral-transformation Lanczos
+(Ericsson and Ruhe 1980; Grimes, Lewis and Simon 1994) on the pencil
+(K, Q), Q = diag(q).  For a shift 0 < sigma < lambda1 the matrix
+B = K - sigma Q is positive definite (on each pencil eigenvector
+u^T B u = (lambda_j - sigma) u^T Q u > 0, and on the constants
+-sigma int m > 0), so Lanczos on Q u = nu B u in the B inner product
+finds nu1 = 1/(lambda1 - sigma) at one sparse LU solve per apply.  The
+shift is certified by Sylvester inertia: a symmetric-mode LU of B with
+diagonal pivots has as many negative pivots as the pencil has eigenvalues
+in (0, sigma), so all-positive pivots prove sigma < lambda1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -59,6 +74,18 @@ DENSE_CELL_LIMIT = 6000
 
 #: eigensolver paths accepted by ``principal_eigenpair``
 SOLVERS = ("dense", "iterative")
+
+#: ARPACK restarts on S before the iterative path falls back to the shift
+_PROBE_RESTARTS = 6
+
+#: seed of ARPACK's start vector and of its restart draws
+_ARPACK_SEED = 0x5EED
+
+#: the shift estimate: a run on S to this tolerance gives theta <= mu1, and
+#: the first shift is _SHIFT_SHARE / theta, halved while inertia rejects it
+_SHIFT_TOL = 0.1
+_SHIFT_SHARE = 0.9
+_SHIFT_HALVINGS = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +125,21 @@ def weight_field(grid: Grid, values) -> WeightField:
     )
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """How an eigenpair was computed.
+
+    ``path`` is "dense", "arpack" or "shift-invert".  ``applies`` counts
+    operator applications: applies of S, then solves with B on the
+    shift-invert path (0 on the dense path).  ``sigma`` is the certified
+    shift of the shift-invert path and None on the others.
+    """
+
+    path: str
+    applies: int = 0
+    sigma: float | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class EigenPair:
     """Principal eigenpair: mu1 = 1/lambda1 and the positive eigenfunction.
@@ -111,6 +153,7 @@ class EigenPair:
     lambda1: float
     u: np.ndarray
     residual: float
+    stats: SolveStats
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +256,8 @@ def _dense_pencil(m: WeightField):
     return A, S, B
 
 
-def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray) -> EigenPair:
+def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
+                        stats: SolveStats) -> EigenPair:
     """Sign-fix, normalize u^T K u = 1 and attach the V_m residual."""
     K = assemble_stiffness(m.grid)
     if u[np.argmax(np.abs(u))] < 0:
@@ -230,7 +274,7 @@ def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray) -> EigenPair:
     r -= q * (q @ r) / (q @ q)
     residual = float(np.linalg.norm(r) / max(np.linalg.norm(K @ u), 1e-300))
     return EigenPair(mu1=float(mu1), lambda1=float(lam), u=u,
-                     residual=residual)
+                     residual=residual, stats=stats)
 
 
 def _check_admissible(m: WeightField) -> None:
@@ -241,16 +285,26 @@ def _check_admissible(m: WeightField) -> None:
         raise NoPositivePart("weight is nonpositive everywhere")
 
 
-def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
-    """Largest eigenvalue of S (module docstring) by ARPACK.
+class _Counted(spla.LinearOperator):
+    """The symmetric operator x -> fn(x) on R^n; ``applies`` counts calls."""
+
+    def __init__(self, fn, n: int):
+        super().__init__(dtype=np.dtype(float), shape=(n, n))
+        self.fn = fn
+        self.applies = 0
+
+    def _matvec(self, x):
+        self.applies += 1
+        return self.fn(x)
+
+
+def _dct_operator(m: WeightField):
+    """S (module docstring) as a counted operator, and the map y -> u.
 
     S acts on all DCT coefficients with the constant mode zeroed, which
-    only adds the eigenvalue 0 below mu1 > 0.  The start vector is a
-    fixed-seed random vector, generic against grid symmetries, so the
-    same inputs always produce the same eigenpair.
+    only adds the eigenvalue 0 below mu1 > 0.
     """
     grid = m.grid
-    n = grid.n_cells
     q = _weighted_values(m)
     scale = _mode_scale(grid, -0.5)
 
@@ -261,17 +315,90 @@ def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
     def matvec(y):
         return (to_dct(grid, q * to_vm(y)) * scale).ravel()
 
-    S = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(0x5EED).standard_normal(n)
-    try:
-        vals, vecs = spla.eigsh(S, k=1, which="LA", tol=tol, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
-    mu1 = float(vals[0])
-    if mu1 <= 0:
+    return _Counted(matvec, grid.n_cells), to_vm
+
+
+def _arpack_top(A, tol: float, **kwargs):
+    """Largest eigenvalue and eigenvector of A by ARPACK (``eigsh``).
+
+    The start vector is a fixed-seed random vector, generic against grid
+    symmetries, and ARPACK's restart draws come from a fixed-seed
+    generator, so the same inputs always produce the same bytes.  Every
+    operator solved here has a positive top eigenvalue, so a nonpositive
+    one raises SingularSystem.
+    """
+    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(A.shape[0])
+    vals, vecs = spla.eigsh(A, k=1, which="LA", tol=tol, v0=v0,
+                            rng=np.random.default_rng(_ARPACK_SEED),
+                            **kwargs)
+    if vals[0] <= 0:
         raise SingularSystem(
             "iterative solver converged to a nonpositive eigenvalue")
-    return _finalize_eigenpair(m, mu1, to_vm(vecs[:, 0]))
+    return float(vals[0]), vecs[:, 0]
+
+
+def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
+    """Largest eigenvalue of S by ARPACK within ``_PROBE_RESTARTS``
+    restarts, else by ``_shift_invert``."""
+    S, to_vm = _dct_operator(m)
+    try:
+        mu1, y = _arpack_top(S, tol, maxiter=_PROBE_RESTARTS)
+    except spla.ArpackNoConvergence:
+        return _shift_invert(m, tol, applies=S.applies)
+    return _finalize_eigenpair(m, mu1, to_vm(y),
+                               SolveStats("arpack", S.applies))
+
+
+def _shifted_lu(m: WeightField, sigma: float):
+    """Sparse LU of B = K - sigma Q, B itself, and B's count of pivots
+    that are not positive.
+
+    When the pivots stay on the diagonal (``perm_r == perm_c``) the
+    factorization is P B P^T = L D L^T, and by Sylvester's law of inertia
+    the negative pivots count the pencil eigenvalues in (0, sigma).  The
+    count is None when SuperLU pivoted off the diagonal.
+    """
+    B = (assemble_stiffness(m.grid)
+         - sigma * scipy.sparse.diags(_weighted_values(m))).tocsc()
+    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                   options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return lu, B, None
+    return lu, B, int(np.count_nonzero(lu.U.diagonal() <= 0))
+
+
+def _shift_invert(m: WeightField, tol: float, applies: int = 0) -> EigenPair:
+    """Largest eigenvalue nu1 = 1/(lambda1 - sigma) of Q u = nu B u.
+
+    A loose ARPACK run on S gives a Ritz value theta <= mu1, so 1/theta is
+    at least lambda1; the first shift is ``_SHIFT_SHARE / theta``, halved
+    until the inertia of B proves sigma < lambda1.  Lanczos then runs in
+    the B inner product with one LU solve per apply, and lambda1 is
+    sigma + 1/nu1.  ``applies`` are those already spent on this solve.
+    """
+    S, _ = _dct_operator(m)
+    try:
+        theta, _ = _arpack_top(S, _SHIFT_TOL)
+    except spla.ArpackNoConvergence as exc:
+        raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
+    sigma = _SHIFT_SHARE / theta
+    for _ in range(_SHIFT_HALVINGS):
+        lu, B, negative = _shifted_lu(m, sigma)
+        if negative == 0:
+            break
+        sigma *= 0.5
+    else:
+        raise SingularSystem("no shift passed the inertia check")
+    Binv = _Counted(lu.solve, m.grid.n_cells)
+    try:
+        nu1, u = _arpack_top(scipy.sparse.diags(_weighted_values(m)), tol,
+                             M=B, Minv=Binv)
+    except spla.ArpackNoConvergence as exc:
+        raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
+    stats = SolveStats("shift-invert", applies + S.applies + Binv.applies,
+                       sigma)
+    return _finalize_eigenpair(m, 1.0 / (sigma + 1.0 / nu1),
+                               project_mean_zero(m, u), stats)
 
 
 def principal_eigenpair(m: WeightField, solver: str = "dense",
@@ -281,8 +408,9 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
     Requires an admissible weight (negative integral, positive part of
     positive measure).  ``solver`` selects the dense V_m-restricted pencil
     (the oracle path, refused above ``DENSE_CELL_LIMIT`` cells) or ARPACK
-    on the DCT kernel ("iterative", no size cap); both paths return the
-    eigenfunction normalized by u^T K u = 1 with the sign fixed positive.
+    on the DCT kernel with the shift-invert fallback ("iterative", no size
+    cap); both paths return the eigenfunction normalized by u^T K u = 1
+    with the sign fixed positive, and ``stats`` names the path that ran.
 
     Both paths solve on m / 2^e with 2^e the power of two just above
     max|m|, and scale mu1 back by degree-1 homogeneity.  The division is
@@ -293,9 +421,11 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
     exp = int(np.frexp(np.abs(m.values).max())[1])
     pair = _unit_eigenpair(weight_field(m.grid, np.ldexp(m.values, -exp)),
                            solver, tol)
-    return EigenPair(mu1=float(np.ldexp(pair.mu1, exp)),
-                     lambda1=float(np.ldexp(pair.lambda1, -exp)),
-                     u=pair.u, residual=pair.residual)
+    sigma = pair.stats.sigma
+    return replace(pair, mu1=float(np.ldexp(pair.mu1, exp)),
+                   lambda1=float(np.ldexp(pair.lambda1, -exp)),
+                   stats=replace(pair.stats, sigma=None if sigma is None
+                                 else float(np.ldexp(sigma, -exp))))
 
 
 def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
@@ -307,7 +437,8 @@ def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
         mu1 = float(vals[0])
         if mu1 <= 0:  # pragma: no cover - admissible weights have mu1 > 0
             raise NoPositivePart("pencil has no positive eigenvalue")
-        return _finalize_eigenpair(m, mu1, B @ vecs[:, 0])
+        return _finalize_eigenpair(m, mu1, B @ vecs[:, 0],
+                                   SolveStats("dense"))
     if solver == "iterative":
         return _dct_iteration(m, tol)
     raise ValueError(f"unknown solver {solver!r}")

@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's discretization: the arrangement
-oracle enumerates permutations, and the stripe oracle searches every
-stripe for every cell.  The eigenvalue oracle ``two_phase_lambda1`` (the
+oracle enumerates permutations, the stripe oracle searches every stripe
+for every cell, and the restart oracle runs every restart to its end.  The eigenvalue oracle ``two_phase_lambda1`` (the
 closed form of the 1D two-phase problem) and ``random_admissible`` (the
 admissible-weight generator) live in ``eigenweight.verify``, whose
 acceptance checks use them, and are re-exported here.
@@ -12,6 +12,8 @@ from itertools import permutations
 
 import numpy as np
 
+from eigenweight import comonotone_arrangement, principal_eigenpair, weight_field
+from eigenweight.optimize import _start_fields
 from eigenweight.verify import random_admissible_values as random_admissible
 from eigenweight.verify import two_phase_lambda1
 
@@ -49,3 +51,33 @@ def oscillating_layout(values, counts, n1: int, n_cells: int, k: int):
         cells = np.flatnonzero(i1 // (n1 // k) == s)
         out[cells] = np.sort(stripe_values[s])[::-1]
     return out, hit_full
+
+
+def restart_loop(cls, grid, max_iters, tol, restarts, seed, solver):
+    """Every restart's fixed-point sweeps run to the end, no skipping.
+
+    Returns (mu1, final_m, final pair, trace, converged) of the best
+    restart, ties toward the earlier one.
+    """
+    best = None
+    for m0 in _start_fields(cls, grid, restarts, seed):
+        m = m0
+        pair = principal_eigenpair(weight_field(grid, m), solver=solver,
+                                   tol=tol)
+        trace = [(0, pair.mu1, pair.lambda1, 0)]
+        converged = False
+        for it in range(1, max_iters + 1):
+            m_next = comonotone_arrangement(cls, pair.u, grid)
+            changed = int(np.count_nonzero(m_next != m))
+            if changed == 0:
+                converged = True
+                trace.append((it, pair.mu1, pair.lambda1, 0))
+                break
+            m = m_next
+            pair = principal_eigenpair(weight_field(grid, m), solver=solver,
+                                       tol=tol)
+            trace.append((it, pair.mu1, pair.lambda1, changed))
+        candidate = (pair.mu1, m, pair, tuple(trace), converged)
+        if best is None or candidate[0] > best[0]:
+            best = candidate
+    return best

@@ -18,6 +18,17 @@ BASE_CONFIG = {
 }
 
 
+#: an iterative solve of a random quarter-positive bang-bang weight, rough
+#: enough to need hundreds of ARPACK applies
+ROUGH_SOLVE = {
+    "domain": {"type": "interval", "extents": [1.0], "shape": [1024]},
+    "weight": {"kind": "explicit", "values": np.random.default_rng(7)
+               .permutation(np.where(np.arange(1024) < 256, 1.0, -2.0))
+               .tolist()},
+    "solve": {"solver": "iterative"},
+}
+
+
 def config_text(**overrides):
     doc = json.loads(json.dumps(BASE_CONFIG))
     for key, value in overrides.items():
@@ -99,6 +110,8 @@ class TestExecute:
         payload = json.loads((tmp_path / "eigenpair.json").read_text())
         assert payload["mu1"] > 0
         assert payload["lambda1"] == pytest.approx(1 / payload["mu1"])
+        assert (payload["path"], payload["applies"], payload["sigma"]) \
+            == ("dense", 0, None)
         values, meta = read_field_csv(tmp_path / "u.csv")
         assert meta["shape"] == (64,)
         assert values.min() > 0
@@ -109,6 +122,8 @@ class TestExecute:
         assert code == 0
         payload = json.loads((tmp_path / "optimization.json").read_text())
         assert payload["converged"]
+        assert payload["restarts_used"] == 2
+        assert 0 <= payload["restarts_skipped"] <= 1
         assert payload["comonotone_violations"] == 0
         mus = [row[1] for row in payload["trace"]]
         assert all(b >= a - 1e-12 for a, b in zip(mus, mus[1:]))
@@ -134,6 +149,29 @@ class TestExecute:
         assert len(rows) > 10
         payload = json.loads((tmp_path / "simulation.json").read_text())
         assert payload["outcome"] in ("persistent", "extinct", "undecided")
+
+    def test_rough_solve_reports_shift(self, tmp_path):
+        config = parse_config(config_text(**ROUGH_SOLVE))
+        assert execute(config, "solve", out_dir=tmp_path, quiet=True) == 0
+        payload = json.loads((tmp_path / "eigenpair.json").read_text())
+        assert payload["path"] == "shift-invert"
+        assert payload["applies"] > 0
+        assert 0 < payload["sigma"] < payload["lambda1"]
+
+    def test_rough_solve_reruns_byte_identical(self, tmp_path):
+        config = parse_config(config_text(**ROUGH_SOLVE))
+        for run in ("a", "b"):
+            assert execute(config, "solve", out_dir=tmp_path / run,
+                           quiet=True) == 0
+
+        def stripped(path):
+            return [line for line in path.read_text().splitlines()
+                    if '"timestamp"' not in line]
+
+        assert stripped(tmp_path / "a/eigenpair.json") == \
+            stripped(tmp_path / "b/eigenpair.json")
+        assert (tmp_path / "a/u.csv").read_bytes() == \
+            (tmp_path / "b/u.csv").read_bytes()
 
     def test_field_csvs_roundtrip(self, tmp_path):
         config = parse_config(config_text())
@@ -274,6 +312,57 @@ class TestMainExitCodes:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 3
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", [
+        (None, "solv"), ("domain", "size"), ("weight", "value"),
+        ("solve", "tolerance"), ("optimize", "solvr"),
+        ("rearrange", "stripe"), ("simulate", "gama")])
+    def test_unknown_key_exit_3(self, tmp_path, capsys, section, key):
+        doc = json.loads(config_text())
+        (doc if section is None else doc.setdefault(section, {}))[key] = 1
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r} in {section or 'config'}" in err
+        assert "allowed keys: " in err
+
+    def test_misspelled_optimize_keys_exit_3(self, tmp_path, capsys):
+        # once ran silently with one restart and the dense solver
+        doc = json.loads(config_text(
+            optimize={"restart": 8, "solvr": "iterative"}))
+        doc["solv"] = {}
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()
+        assert "'solv'" in capsys.readouterr().err
+
+    def test_weight_key_of_other_kind_exit_3(self, tmp_path, capsys):
+        weight = dict(BASE_CONFIG["weight"], values=[1.0] * 64)
+        cfg = tmp_path / "mixed.json"
+        cfg.write_text(config_text(weight=weight))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "unknown key 'values' in weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None, "measure,value\n1.0,0.25\n-2.0,0.75\n",
+        "value,measure\none,0.25\n-2.0,0.75\n",
+        "value,measure\n1.0,0.25,7\n"])
+    def test_bad_profile_file_exit_3(self, tmp_path, capsys, content):
+        profile = tmp_path / "profile.csv"
+        if content is not None:
+            profile.write_text(content)
+        cfg = tmp_path / "profile.json"
+        cfg.write_text(config_text(
+            domain={"type": "interval", "extents": [1.0], "shape": [16]},
+            weight={"kind": "profile", "path": str(profile)}))
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"weight.path {str(profile)!r}" in capsys.readouterr().err
 
     def test_solve_ok_exit_0(self, tmp_path):
         cfg = tmp_path / "ok.json"

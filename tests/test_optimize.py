@@ -19,7 +19,7 @@ from eigenweight import (
     principal_eigenpair,
     weight_field,
 )
-from oracles import oscillating_layout, two_phase_lambda1
+from oracles import oscillating_layout, restart_loop, two_phase_lambda1
 
 
 def bang_bang_class(grid, n_pos, pos=1.0, neg=-2.0):
@@ -163,6 +163,31 @@ class TestMinimize:
         b = minimize_lambda1(cls, grid, restarts=3, seed=42)
         np.testing.assert_array_equal(a.final_m, b.final_m)
         assert a.trace == b.trace
+
+    @pytest.mark.parametrize("shape,solver,max_iters,skipped", [
+        ([12, 6], "dense", 200, 2),
+        ([12, 6], "dense", 3, 0),  # nothing converges
+        ([16, 8], "iterative", 200, 3),
+        # a skip that would end past the budget is not taken
+        ([16, 8], "dense", 6, 0),
+        ([32], "dense", 2, 1),
+        ([32], "iterative", 3, 2),
+    ])
+    def test_restart_skipping_matches_full_runs(self, shape, solver,
+                                                max_iters, skipped):
+        grid = build_grid(("interval", "rectangle")[len(shape) - 1],
+                          [2.0, 1.0][:len(shape)], shape)
+        cls, _ = bang_bang_class(grid, grid.n_cells // 4)
+        result = minimize_lambda1(cls, grid, max_iters=max_iters,
+                                  restarts=8, seed=0, solver=solver)
+        _, m, pair, trace, converged = restart_loop(
+            cls, grid, max_iters, 1e-12, 8, 0, solver)
+        assert result.restarts_skipped == skipped
+        assert result.final_m.tobytes() == m.tobytes()
+        assert result.final_pair.u.tobytes() == pair.u.tobytes()
+        assert repr(result.final_pair.lambda1) == repr(pair.lambda1)
+        assert result.trace == trace
+        assert result.converged == converged
 
     def test_iteration_limit_reported_not_raised(self):
         grid = build_grid("interval", [1.0], [32])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenweight import (
     ConstantField,
@@ -20,6 +22,7 @@ from eigenweight import (
     solution_operator,
     weight_field,
 )
+from eigenweight import spectral
 from eigenweight.grid import dct_eigenvalues, to_dct
 from eigenweight.spectral import SOLVERS
 from oracles import random_admissible, two_phase_lambda1
@@ -32,8 +35,30 @@ ODD_GRIDS = [
 ]
 
 
+#: (kind, extents, shape) of the shift-invert tests, one per dimension
+ROUGH_GRIDS = [
+    ("interval", [1.0], [128]),
+    ("rectangle", [2.0, 1.0], [16, 8]),
+    ("box", [1.0, 0.7, 1.3], [6, 4, 5]),
+]
+
+
 def weights(grid, values):
     return weight_field(grid, np.asarray(values, dtype=float))
+
+
+def rough_bang_bang(grid, seed):
+    """A quarter of the cells at +1, the rest at -2, randomly placed."""
+    n = grid.n_cells
+    values = np.where(np.arange(n) < n // 4, 1.0, -2.0)
+    return weights(grid, np.random.default_rng(seed).permutation(values))
+
+
+def assert_matches_dense(pair, m):
+    dense = principal_eigenpair(m, solver="dense")
+    assert abs(pair.mu1 - dense.mu1) <= 1e-9 * dense.mu1
+    np.testing.assert_allclose(pair.u, dense.u, atol=1e-8)
+    assert pair.residual <= 1e-10
 
 
 class TestProjection:
@@ -277,6 +302,44 @@ class TestDctKernel:
         assert first.mu1 == again.mu1
 
 
+    def test_rough_rerun_byte_identical(self):
+        # ARPACK restarts many times on this weight; its restart draws
+        # once came from OS entropy and moved the last digits
+        grid = build_grid("interval", [1.0], [1024])
+        m = rough_bang_bang(grid, 7)
+        pairs = [principal_eigenpair(weights(grid, m.values.copy()),
+                                     solver="iterative") for _ in range(4)]
+        assert len({repr(p.mu1) for p in pairs}) == 1
+        assert len({p.u.tobytes() for p in pairs}) == 1
+        runs = []
+        for _ in range(3):
+            S, _ = spectral._dct_operator(m)
+            mu1, y = spectral._arpack_top(S, 1e-12)
+            runs.append((repr(mu1), y.tobytes()))
+        assert S.applies > 200
+        assert len(set(runs)) == 1
+
+    def test_smooth_weight_takes_arpack_path(self):
+        grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
+        x = grid.cell_centers()[:, 0]
+        m = weights(grid, -0.5 + 1.5 * np.cos(np.pi * x / 2.0))
+        pair = principal_eigenpair(m, solver="iterative")
+        assert pair.stats.path == "arpack"
+        assert pair.stats.sigma is None
+        assert pair.stats.applies > 0
+
+    def test_dense_path_reports_no_applies(self, interval64, rng):
+        m = weights(interval64, random_admissible(rng, 64))
+        assert principal_eigenpair(m).stats == spectral.SolveStats("dense")
+
+    def test_rough_weight_takes_shift_invert_path(self):
+        # a random start of the criterion-7 cylinder
+        m = rough_bang_bang(build_grid("rectangle", [2.0, 1.0], [64, 32]), 1)
+        pair = principal_eigenpair(m, solver="iterative")
+        assert pair.stats.path == "shift-invert"
+        assert 0 < pair.stats.sigma < pair.lambda1
+        assert pair.residual <= 1e-10
+
     def test_arpack_no_convergence_is_iteration_limit(self, monkeypatch,
                                                       interval64, rng):
         def stalled(*args, **kwargs):
@@ -287,6 +350,61 @@ class TestDctKernel:
         m = weights(interval64, random_admissible(rng, 64))
         with pytest.raises(IterationLimit):
             principal_eigenpair(m, solver="iterative")
+
+
+class TestShiftInvert:
+    @pytest.mark.parametrize("kind,extents,shape", ROUGH_GRIDS)
+    def test_matches_dense_on_rough_weights(self, kind, extents, shape):
+        grid = build_grid(kind, extents, shape)
+        for seed in range(3):
+            m = rough_bang_bang(grid, seed)
+            pair = spectral._shift_invert(m, 1e-12)
+            assert_matches_dense(pair, m)
+            assert pair.stats.path == "shift-invert"
+            assert 0 < pair.stats.sigma < pair.lambda1
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_spec=st.sampled_from(ROUGH_GRIDS),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_property(self, grid_spec, seed):
+        grid = build_grid(*grid_spec)
+        rng = np.random.default_rng(seed)
+        m = weights(grid, random_admissible(rng, grid.n_cells))
+        assert_matches_dense(spectral._shift_invert(m, 1e-12), m)
+
+    def test_inertia_counts_pencil_eigenvalues_below_shift(self):
+        grid = build_grid("rectangle", [2.0, 1.0], [16, 8])
+        m = rough_bang_bang(grid, 0)
+        lams = 1.0 / signed_spectrum(m, grid.n_cells).positive
+        assert np.all(np.diff(lams) > 0)
+        assert spectral._shifted_lu(m, 0.5 * lams[0])[2] == 0
+        for j in range(5):
+            sigma = 0.5 * (lams[j] + lams[j + 1])
+            assert spectral._shifted_lu(m, sigma)[2] == j + 1
+
+    def test_rejected_shift_is_halved(self, monkeypatch):
+        m = rough_bang_bang(build_grid("rectangle", [2.0, 1.0], [16, 8]), 0)
+        first = spectral._shift_invert(m, 1e-12)
+        # 3/theta and 1.5/theta lie above lambda1, 0.75/theta below it
+        monkeypatch.setattr(spectral, "_SHIFT_SHARE", 3.0)
+        halved = spectral._shift_invert(m, 1e-12)
+        assert halved.stats.sigma == pytest.approx(
+            first.stats.sigma * 0.75 / 0.9, rel=1e-14)
+        assert_matches_dense(halved, m)
+
+    def test_fallback_no_convergence_is_iteration_limit(self, monkeypatch):
+        m = rough_bang_bang(build_grid("rectangle", [2.0, 1.0], [16, 8]), 0)
+        eigsh = spla.eigsh
+
+        def stalled_when_shifted(A, *args, **kwargs):
+            if "M" in kwargs:
+                raise spla.ArpackNoConvergence("stalled", np.empty(0),
+                                               np.empty((128, 0)))
+            return eigsh(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", stalled_when_shifted)
+        with pytest.raises(IterationLimit):
+            spectral._shift_invert(m, 1e-12)
 
 
 class TestSignedSpectrum:
