@@ -44,7 +44,6 @@ from .serialize import (
 )
 from .spectral import (
     SOLVERS,
-    WeightField,
     principal_eigenpair,
     signed_spectrum,
     weight_field,
@@ -80,33 +79,22 @@ def _exit_code(exc: errors.EigenweightError, quiet: bool) -> int:
     raise exc
 
 
-@dataclass
+@dataclass(eq=False)
 class RunConfig:
     """Validated run description parsed from a config document.
 
-    ``parse_config`` fills each option section with every key it reads,
-    typed and checked.
+    ``grid`` is the domain and ``values`` the weight's cell values on it,
+    both built once by ``parse_config``, which also fills each option
+    section with every key it reads, typed and checked.
     """
 
-    domain_kind: str
-    extents: tuple
-    shape: tuple
-    weight: dict
+    grid: Grid
+    values: np.ndarray
     solve: dict = field(default_factory=dict)
     optimize: dict = field(default_factory=dict)
     rearrange: dict = field(default_factory=dict)
     simulate: dict = field(default_factory=dict)
     output_dir: str = "out"
-
-    def build_grid(self) -> Grid:
-        return build_grid(self.domain_kind, self.extents, self.shape)
-
-    def build_weight(self, grid: Grid) -> WeightField:
-        return weight_field(grid, _weight_values(self.weight, grid))
-
-    def build_class(self, grid: Grid) -> RearrangementClass:
-        return decreasing_rearrangement(_weight_values(self.weight, grid),
-                                        grid)
 
 
 def _object(spec, context: str) -> dict:
@@ -249,30 +237,54 @@ def _read_profile(path) -> list:
             f"weight.path {path!r} is not a readable profile: {exc}") from exc
 
 
-def _weight_values(spec: dict, grid: Grid) -> np.ndarray:
-    kind = spec["kind"]
+def _weight_values(weight, grid: Grid) -> np.ndarray:
+    """The cell values of the weight object on ``grid``, every key
+    checked."""
+    kind = _choice(_require(weight, "kind", "weight"), "weight.kind",
+                   tuple(_WEIGHT_KEYS))
+    _closed(weight, "weight", ("kind", *_WEIGHT_KEYS[kind]))
+    if kind == "bang_bang":
+        pos, neg, frac = (
+            _number(_require(weight, key, "weight"), f"weight.{key}")
+            for key in _WEIGHT_KEYS["bang_bang"])
+        if not 0.0 < frac < 1.0:
+            raise errors.ValidationError(
+                f"positive_fraction must lie in (0, 1), got {frac}")
+        if pos <= 0 or neg >= 0:
+            raise errors.ValidationError(
+                "bang-bang values must satisfy positive_value > 0 > "
+                "negative_value")
+        if not np.isfinite([pos, neg, frac]).all():
+            raise errors.ValidationError("bang-bang values must be finite")
+        n_pos = int(round(frac * grid.n_cells))
+        n_pos = min(max(n_pos, 1), grid.n_cells - 1)
+        values = np.full(grid.n_cells, neg)
+        values[:n_pos] = pos
+        # the field rounded to cells is what gets solved
+        total = integrate(grid, values)
+        if total >= 0:
+            raise errors.ValidationError(
+                f"admissibility violated: ∫m ≥ 0 (integral {total:g} "
+                f"over {grid.n_cells} cells)")
+        return values
     if kind == "explicit":
-        values = np.asarray(spec["values"], dtype=float)
+        values = np.array([_number(v, "weight.values") for v in _list(
+            _require(weight, "values", "weight"), "weight.values")])
+        if not np.isfinite(values).all():
+            raise errors.ValidationError(
+                "explicit weight values must be finite")
         if values.size != grid.n_cells:
             raise errors.ValidationError(
                 f"explicit weight has {values.size} values, grid has "
                 f"{grid.n_cells} cells")
         return values
-    if kind == "bang_bang":
-        n_pos = int(round(spec["positive_fraction"] * grid.n_cells))
-        n_pos = min(max(n_pos, 1), grid.n_cells - 1)
-        values = np.full(grid.n_cells, spec["negative_value"])
-        values[:n_pos] = spec["positive_value"]
-        return values
-    if kind == "profile":
-        pairs = _read_profile(spec["path"])
-        cls = RearrangementClass(
-            profile=tuple(sorted(pairs, key=lambda p: -p[0])),
-            total_measure=float(sum(s for _, s in pairs)),
-            source_integral=float(sum(v * s for v, s in pairs)),
-        )
-        return cls.cell_values(grid)
-    raise errors.ValidationError(f"unknown weight kind {kind!r}")
+    pairs = _read_profile(_require(weight, "path", "weight"))
+    cls = RearrangementClass(
+        profile=tuple(sorted(pairs, key=lambda p: -p[0])),
+        total_measure=float(sum(s for _, s in pairs)),
+        source_integral=float(sum(v * s for v, s in pairs)),
+    )
+    return cls.cell_values(grid)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -307,55 +319,17 @@ def parse_config(text: str) -> RunConfig:
                       _require(domain, "extents", "domain"),
                       _require(domain, "shape", "domain"))
 
-    weight = _require(doc, "weight", "config")
-    w_kind = _choice(_require(weight, "kind", "weight"), "weight.kind",
-                     tuple(_WEIGHT_KEYS))
-    weight = dict(_closed(weight, "weight", ("kind", *_WEIGHT_KEYS[w_kind])))
-    if w_kind == "bang_bang":
-        pos, neg, frac = (
-            _number(_require(weight, key, "weight"), f"weight.{key}")
-            for key in _WEIGHT_KEYS["bang_bang"])
-        if not 0.0 < frac < 1.0:
-            raise errors.ValidationError(
-                f"positive_fraction must lie in (0, 1), got {frac}")
-        if pos <= 0 or neg >= 0:
-            raise errors.ValidationError(
-                "bang-bang values must satisfy positive_value > 0 > "
-                "negative_value")
-        if not np.isfinite([pos, neg, frac]).all():
-            raise errors.ValidationError("bang-bang values must be finite")
-        weight.update(positive_value=pos, negative_value=neg,
-                      positive_fraction=frac)
-        # the field rounded to cells is what gets solved
-        total = integrate(grid, _weight_values(weight, grid))
-        if total >= 0:
-            raise errors.ValidationError(
-                f"admissibility violated: ∫m ≥ 0 (integral {total:g} "
-                f"over {grid.n_cells} cells)")
-    elif w_kind == "explicit":
-        values = [_number(v, "weight.values") for v in _list(
-            _require(weight, "values", "weight"), "weight.values")]
-        if not np.isfinite(values).all():
-            raise errors.ValidationError(
-                "explicit weight values must be finite")
-        weight["values"] = values
-    else:
-        _require(weight, "path", "weight")
-        _weight_values(weight, grid)  # reads and checks the profile CSV
-
     return RunConfig(
-        domain_kind=domain["type"],
-        extents=grid.extents,
-        shape=grid.shape,
-        weight=weight,
+        grid=grid,
+        values=_weight_values(_require(doc, "weight", "config"), grid),
         **{name: _options(doc, name) for name in _OPTIONS},
         output_dir=str(doc.get("output_dir", "out")),
     )
 
 
 def _cmd_solve(config: RunConfig, out: Path) -> int:
-    grid = config.build_grid()
-    m = config.build_weight(grid)
+    grid = config.grid
+    m = weight_field(grid, config.values)
     opts = config.solve
     pair = principal_eigenpair(m, solver=opts["solver"], tol=opts["tol"])
     payload = eigenpair_payload(pair)
@@ -371,8 +345,8 @@ def _cmd_solve(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_optimize(config: RunConfig, out: Path, seed_override) -> int:
-    grid = config.build_grid()
-    cls = config.build_class(grid)
+    grid = config.grid
+    cls = decreasing_rearrangement(config.values, grid)
     opts = config.optimize
     seed = opts["seed"] if seed_override is None else int(seed_override)
     result = minimize_lambda1(
@@ -390,8 +364,7 @@ def _cmd_optimize(config: RunConfig, out: Path, seed_override) -> int:
 
 
 def _cmd_rearrange(config: RunConfig, out: Path) -> int:
-    grid = config.build_grid()
-    values = _weight_values(config.weight, grid)
+    grid, values = config.grid, config.values
     direction = config.rearrange["direction"]
     cls = decreasing_rearrangement(values, grid)
     write_profile_csv(out / "profile.csv", cls)
@@ -404,8 +377,8 @@ def _cmd_rearrange(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_simulate(config: RunConfig, out: Path) -> int:
-    grid = config.build_grid()
-    m = config.build_weight(grid)
+    grid = config.grid
+    m = weight_field(grid, config.values)
     opts = config.simulate
     v0 = np.array(opts["v0"]) if isinstance(opts["v0"], list) \
         else np.full(grid.n_cells, opts["v0"])
@@ -430,9 +403,13 @@ def _cmd_verify(out: Path, seed: int, quiet: bool) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_SOLVER
 
 
-def execute(config: RunConfig, command: str, out_dir=None,
+def execute(config: RunConfig | None, command: str, out_dir=None,
             seed_override=None, quiet: bool = False) -> int:
-    """Dispatch one subcommand; returns the process exit code."""
+    """Dispatch one subcommand; returns the process exit code.
+
+    ``verify`` reads no config, so it may run with ``config=None`` when
+    ``out_dir`` is given.
+    """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(out_dir if out_dir is not None else config.output_dir)
@@ -467,11 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify" and args.config is None:
-        config = RunConfig(domain_kind="interval", extents=(1.0,),
-                           shape=(16,), weight={"kind": "bang_bang",
-                                                "positive_value": 1.0,
-                                                "negative_value": -2.0,
-                                                "positive_fraction": 0.25})
+        config = None
         if args.out is None:
             args.out = "out"
     else:

@@ -30,6 +30,9 @@ from .errors import InvalidSpec, LengthMismatch
 #: domain kind -> dimension
 DOMAIN_KINDS = {"interval": 1, "rectangle": 2, "box": 3}
 
+#: most cells a grid may have; one field then takes 8 MiB
+MAX_CELLS = 2 ** 20
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -117,7 +120,7 @@ def build_grid(kind: str, extents, shape) -> Grid:
         Positive, finite side length per axis.
     shape : sequence of int
         Cells per axis, each a whole number (16.0 counts as 16) and at
-        least 2.
+        least 2, with at most MAX_CELLS cells in all.
 
     This is the one place domains are validated: every malformed
     descriptor raises InvalidSpec.
@@ -144,10 +147,15 @@ def build_grid(kind: str, extents, shape) -> Grid:
     shape = tuple(int(n) for n in counts)
     if any(n < 2 for n in shape):
         raise InvalidSpec(f"cell counts must be at least 2, got {shape}")
+    n_cells = math.prod(shape)
+    if n_cells > MAX_CELLS:
+        raise InvalidSpec(
+            f"grid of shape {shape} has {n_cells} cells, more than the "
+            f"cap of {MAX_CELLS}")
 
     spacing = tuple(L / n for L, n in zip(extents, shape))
     # first axis fastest: each line is a contiguous run of shape[0] indices
-    axis1_lines = np.arange(math.prod(shape)).reshape(-1, shape[0])
+    axis1_lines = np.arange(n_cells).reshape(-1, shape[0])
     axis1_lines.setflags(write=False)
     return Grid(dim, extents, shape, spacing, float(np.prod(spacing)),
                 axis1_lines)

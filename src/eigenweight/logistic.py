@@ -99,10 +99,13 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     for step in range(n_steps):
         step_dt = min(dt, t_end - t)
         rate = gamma * (m_abs_max + 2.0 * max(float(v.max()), 0.0))
-        n_sub = max(1, int(np.floor(step_dt * rate)) + 1)
-        if n_sub > _MAX_SUBSTEPS:
+        # compared as a float: an overflowed rate is inf, not an integer
+        substeps = step_dt * rate
+        if not substeps < _MAX_SUBSTEPS:
             raise UnstableStep(
-                f"stability guard needs {n_sub} substeps at t={t:g}")
+                f"stability guard needs {substeps:g} substeps at t={t:g}, "
+                f"more than {_MAX_SUBSTEPS}")
+        n_sub = int(substeps) + 1
         dt_sub = step_dt / n_sub
         for _ in range(n_sub):
             rhs = w * (v / dt_sub + gamma * v * (m.values - v))

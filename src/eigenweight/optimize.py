@@ -45,12 +45,11 @@ class OptimizationResult:
     """Outcome of the fixed-point minimization.
 
     ``trace`` lists (iteration, mu1, lambda1, changed_cells) for the best
-    restart; mu1 is nondecreasing along it.  ``restarts_skipped`` counts
-    the restarts stopped early on an arrangement an earlier restart had
-    solved.  ``comonotone_violations`` counts cell pairs ordered against
-    the final eigenfunction (zero at a true fixed point) and
-    ``monotone_x1`` summarizes the final weight's monotonicity along the
-    first axis.
+    restart; mu1 is nondecreasing along it.  ``solves`` counts the
+    distinct eigensolves of the whole call, every restart included.
+    ``comonotone_violations`` counts cell pairs ordered against the final
+    eigenfunction (zero at a true fixed point) and ``monotone_x1``
+    summarizes the final weight's monotonicity along the first axis.
     """
 
     final_m: np.ndarray
@@ -58,7 +57,7 @@ class OptimizationResult:
     trace: tuple
     converged: bool
     restarts_used: int
-    restarts_skipped: int
+    solves: int
     comonotone_violations: int
     monotone_x1: MonotonicityReport
 
@@ -141,11 +140,9 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     lambda1) wins, ties resolved toward the earlier restart.  Hitting
     ``max_iters`` is reported through ``converged=False``, not an error.
 
-    Solves are deterministic, so a restart that reaches an arrangement a
-    converged earlier restart visited would repeat that restart's path to
-    the same fixed point, and a tie cannot win.  Such a restart stops
-    there, provided its remaining sweeps would have reached the fixed
-    point; the result is the one the full runs give.
+    Solves are deterministic, so each distinct arrangement is solved
+    once per call: a restart that reaches an arrangement seen before
+    reuses its eigenpair and follows the earlier path with sweeps alone.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(
@@ -154,26 +151,18 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
         raise ValueError("restarts must be at least 1")
 
     best = None
-    skipped = 0
-    # digest of an arrangement on a converging path -> the sweeps from it
-    # to that path's fixed-point check
-    sweeps_left = {}
+    solved = {}  # sha256 of an arrangement -> its eigenpair
     for m0 in _start_fields(cls, grid, restarts, seed):
         m = m0
-        visited = []
         trace = []
         changed = 0
         converged = False
-        left = 0
         for it in range(max_iters + 1):
             key = hashlib.sha256(m.tobytes()).digest()
-            known = sweeps_left.get(key)
-            if known is not None and it + known <= max_iters:
-                left = known
-                break
-            visited.append(key)
-            pair = principal_eigenpair(weight_field(grid, m), solver=solver,
-                                       tol=tol)
+            pair = solved.get(key)
+            if pair is None:
+                pair = solved[key] = principal_eigenpair(
+                    weight_field(grid, m), solver=solver, tol=tol)
             trace.append((it, pair.mu1, pair.lambda1, changed))
             if it == max_iters:
                 break
@@ -184,13 +173,6 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
                 trace.append((it + 1, pair.mu1, pair.lambda1, 0))
                 break
             m = m_next
-        if converged or left:
-            n_visited = len(visited)
-            sweeps_left.update((key, n_visited + left - i)
-                               for i, key in enumerate(visited))
-        if left:
-            skipped += 1
-            continue
         candidate = (pair.mu1, m, pair, tuple(trace), converged)
         if best is None or candidate[0] > best[0]:
             best = candidate
@@ -202,7 +184,7 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
         trace=trace,
         converged=converged,
         restarts_used=restarts,
-        restarts_skipped=skipped,
+        solves=len(solved),
         comonotone_violations=count_comonotone_violations(m, pair.u, grid),
         monotone_x1=check_monotone_x1(m, grid),
     )

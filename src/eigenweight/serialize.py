@@ -146,7 +146,7 @@ def optimization_payload(result: OptimizationResult) -> dict:
         "residual": result.final_pair.residual,
         "converged": result.converged,
         "restarts_used": result.restarts_used,
-        "restarts_skipped": result.restarts_skipped,
+        "solves": result.solves,
         "comonotone_violations": result.comonotone_violations,
         "monotone_x1": {
             "classification": result.monotone_x1.classification,

@@ -307,7 +307,8 @@ def check_criterion_7_cylinder(rng) -> str:
     shape = _minimizer_shape(result)
     _expect(equimeasurable(result.final_m, values, grid),
             "minimizer left the rearrangement class")
-    return f"{shape}, lambda1 {result.final_pair.lambda1!r}"
+    return (f"{shape}, lambda1 {result.final_pair.lambda1!r}, "
+            f"{result.solves} solves")
 
 
 def check_criterion_8_oscillation(rng) -> str:

@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's discretization: the arrangement
 oracle enumerates permutations, the stripe oracle searches every stripe
-for every cell, and the restart oracle runs every restart to its end.  The eigenvalue oracle ``two_phase_lambda1`` (the
-closed form of the 1D two-phase problem) and ``random_admissible`` (the
-admissible-weight generator) live in ``eigenweight.verify``, whose
-acceptance checks use them, and are re-exported here.
+for every cell, and the restart oracle runs every restart to its end,
+solving every iterate afresh.  The eigenvalue oracle
+``two_phase_lambda1`` (the closed form of the 1D two-phase problem) and
+``random_admissible`` (the admissible-weight generator) live in
+``eigenweight.verify``, whose acceptance checks use them, and are
+re-exported here.
 """
 
+import hashlib
 from itertools import permutations
 
 import numpy as np
@@ -54,16 +57,24 @@ def oscillating_layout(values, counts, n1: int, n_cells: int, k: int):
 
 
 def restart_loop(cls, grid, max_iters, tol, restarts, seed, solver):
-    """Every restart's fixed-point sweeps run to the end, no skipping.
+    """Every restart's fixed-point sweeps run to the end, every iterate
+    solved afresh.
 
     Returns (mu1, final_m, final pair, trace, converged) of the best
-    restart, ties toward the earlier one.
+    restart, ties toward the earlier one, and the number of distinct
+    arrangements solved over all restarts.
     """
     best = None
+    distinct = set()
+
+    def solve(m):
+        distinct.add(hashlib.sha256(m.tobytes()).digest())
+        return principal_eigenpair(weight_field(grid, m), solver=solver,
+                                   tol=tol)
+
     for m0 in _start_fields(cls, grid, restarts, seed):
         m = m0
-        pair = principal_eigenpair(weight_field(grid, m), solver=solver,
-                                   tol=tol)
+        pair = solve(m)
         trace = [(0, pair.mu1, pair.lambda1, 0)]
         converged = False
         for it in range(1, max_iters + 1):
@@ -74,10 +85,9 @@ def restart_loop(cls, grid, max_iters, tol, restarts, seed, solver):
                 trace.append((it, pair.mu1, pair.lambda1, 0))
                 break
             m = m_next
-            pair = principal_eigenpair(weight_field(grid, m), solver=solver,
-                                       tol=tol)
+            pair = solve(m)
             trace.append((it, pair.mu1, pair.lambda1, changed))
         candidate = (pair.mu1, m, pair, tuple(trace), converged)
         if best is None or candidate[0] > best[0]:
             best = candidate
-    return best
+    return best + (len(distinct),)

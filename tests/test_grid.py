@@ -11,6 +11,7 @@ from eigenweight import (
     build_grid,
     integrate,
 )
+from eigenweight.grid import MAX_CELLS
 
 
 def test_interval_partition():
@@ -60,6 +61,16 @@ def test_fractional_cell_count_rejected():
     with pytest.raises(InvalidSpec, match="whole numbers"):
         build_grid("rectangle", [1.0, 1.0], [8, 4.5])
     assert build_grid("rectangle", [1.0, 1.0], [16.0, 8.0]).shape == (16, 8)
+
+
+def test_cell_count_cap():
+    # refused before anything is allocated
+    with pytest.raises(InvalidSpec, match=f"{10**18} cells.*{MAX_CELLS}"):
+        build_grid("box", [1.0, 1.0, 1.0], [10**6, 10**6, 10**6])
+    with pytest.raises(InvalidSpec, match="cap"):
+        build_grid("interval", [1.0], [MAX_CELLS + 1])
+    assert build_grid("interval", [1.0], [MAX_CELLS]).n_cells == MAX_CELLS
+    assert build_grid("rectangle", [2.0, 1.0], [256, 128]).n_cells == 32768
 
 
 def test_kind_dimension_mismatch():

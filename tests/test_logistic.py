@@ -71,6 +71,15 @@ def test_unstable_guard(setup_1d):
         simulate_logistic(m, 1e9, np.full(64, 0.01), dt=10.0, t_end=10.0)
 
 
+@pytest.mark.parametrize("gamma,v0", [(1e308, 0.01), (5.0, 1e308)])
+def test_overflowed_guard_is_unstable(gamma, v0):
+    # gamma * (max|m| + 2 max v) overflows to inf
+    grid = build_grid("interval", [1.0], [16])
+    m = weight_field(grid, np.where(np.arange(16) < 4, 2.0, -2.0))
+    with pytest.raises(UnstableStep, match="inf substeps"):
+        simulate_logistic(m, gamma, np.full(16, v0), dt=0.01, t_end=1.0)
+
+
 def test_pure_diffusion_conserves_mass(setup_1d):
     grid, m, _ = setup_1d
     x = grid.cell_centers()[:, 0]

@@ -164,25 +164,32 @@ class TestMinimize:
         np.testing.assert_array_equal(a.final_m, b.final_m)
         assert a.trace == b.trace
 
-    @pytest.mark.parametrize("shape,solver,max_iters,skipped", [
-        ([12, 6], "dense", 200, 2),
-        ([12, 6], "dense", 3, 0),  # nothing converges
-        ([16, 8], "iterative", 200, 3),
-        # a skip that would end past the budget is not taken
-        ([16, 8], "dense", 6, 0),
-        ([32], "dense", 2, 1),
-        ([32], "iterative", 3, 2),
+    @pytest.mark.parametrize("shape,solver,max_iters,solves", [
+        ([12, 6], "dense", 200, 35),
+        ([12, 6], "dense", 3, 27),  # nothing converges
+        ([16, 8], "iterative", 200, 35),
+        ([16, 8], "dense", 6, 34),
+        ([32], "dense", 2, 14),
+        ([32], "iterative", 3, 14),
     ])
-    def test_restart_skipping_matches_full_runs(self, shape, solver,
-                                                max_iters, skipped):
+    def test_memoised_restarts_match_full_runs(self, monkeypatch, shape,
+                                               solver, max_iters, solves):
         grid = build_grid(("interval", "rectangle")[len(shape) - 1],
                           [2.0, 1.0][:len(shape)], shape)
         cls, _ = bang_bang_class(grid, grid.n_cells // 4)
-        result = minimize_lambda1(cls, grid, max_iters=max_iters,
-                                  restarts=8, seed=0, solver=solver)
-        _, m, pair, trace, converged = restart_loop(
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return principal_eigenpair(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("eigenweight.optimize.principal_eigenpair", counted)
+            result = minimize_lambda1(cls, grid, max_iters=max_iters,
+                                      restarts=8, seed=0, solver=solver)
+        _, m, pair, trace, converged, distinct = restart_loop(
             cls, grid, max_iters, 1e-12, 8, 0, solver)
-        assert result.restarts_skipped == skipped
+        assert len(calls) == result.solves == distinct == solves
         assert result.final_m.tobytes() == m.tobytes()
         assert result.final_pair.u.tobytes() == pair.u.tobytes()
         assert repr(result.final_pair.lambda1) == repr(pair.lambda1)
