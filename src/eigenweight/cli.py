@@ -429,6 +429,15 @@ def execute(config: RunConfig | None, command: str, out_dir=None,
         return _exit_code(exc, quiet)
 
 
+def _read_config(path: str) -> str:
+    """The text of the config file, or a ValidationError naming the path."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise errors.ValidationError(
+            f"--config {path!r} is not a readable file: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="eigenweight",
@@ -451,7 +460,7 @@ def main(argv=None) -> int:
         if args.config is None:
             parser.error("--config is required for this command")
         try:
-            config = parse_config(Path(args.config).read_text())
+            config = parse_config(_read_config(args.config))
         except errors.EigenweightError as exc:
             return _exit_code(exc, args.quiet)
 

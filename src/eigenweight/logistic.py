@@ -68,7 +68,8 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     substeps keeping  dt_sub * gamma * (max|m| + 2 max v) < 1,  which
     bounds the explicit reaction and keeps the implicit diffusion solve
     nonnegative; UnstableStep is raised if the guard needs more than
-    10^6 substeps.
+    10^6 substeps, and InvalidSpec if the initial mass or max|m| + 2 max v0
+    overflows.
     """
     grid = m.grid
     v = as_field(grid, v0).copy()
@@ -86,10 +87,16 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
 
     w = grid.cell_measure
     m_abs_max = float(np.max(np.abs(m.values)))
+    with np.errstate(over="ignore"):
+        mass0 = w * float(v.sum())
+    if not (mass0 < np.inf and m_abs_max + 2.0 * float(v.max()) < np.inf):
+        raise InvalidSpec(
+            "initial density is too large: its mass or the stability "
+            "guard's max|m| + 2 max v0 overflows")
     n_steps = int(np.ceil(t_end / dt - 1e-12))
 
     times = [0.0]
-    mass = [w * float(v.sum())]
+    mass = [mass0]
     min_v = [float(v.min())]
     max_v = [float(v.max())]
     clamp_events = 0

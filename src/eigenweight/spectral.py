@@ -172,6 +172,16 @@ class SignedSpectrum:
     bound: float
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two cell fields by numpy's own loop.
+
+    BLAS ``ddot`` runs threaded on long vectors, which rounds differently
+    at each thread count and leaves its helper threads spinning against
+    the transforms that follow; ``einsum`` does neither.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def _weighted_values(m: WeightField) -> np.ndarray:
     """w_i * m_i, the vector defining the V_m constraint."""
     return m.grid.cell_measure * m.values
@@ -188,7 +198,7 @@ def project_mean_zero(m: WeightField, f) -> np.ndarray:
         raise ZeroWeightIntegral("weight integrates to zero")
     f = as_field(m.grid, f)
     q = _weighted_values(m)
-    return f - (q @ f) / m.integral
+    return f - _dot(q, f) / m.integral
 
 
 def _mode_scale(grid: Grid, exponent: float) -> np.ndarray:
@@ -225,13 +235,12 @@ def _vm_basis(m: WeightField) -> np.ndarray:
     """
     q = _weighted_values(m)
     n = q.size
-    norm = np.linalg.norm(q)
+    norm = np.sqrt(_dot(q, q))
     if norm == 0.0:
         raise ZeroWeightIntegral("weight is identically zero")
     v = q.copy()
     v[0] += norm if q[0] >= 0 else -norm
-    vtv = v @ v
-    B = (-2.0 / vtv) * np.outer(v, v[1:])
+    B = (-2.0 / _dot(v, v)) * np.outer(v, v[1:])
     B[1:, :] += np.eye(n - 1)
     return B
 
@@ -260,19 +269,23 @@ def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
                         stats: SolveStats) -> EigenPair:
     """Sign-fix, normalize u^T K u = 1 and attach the V_m residual."""
     K = assemble_stiffness(m.grid)
+    q = _weighted_values(m)
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
-    u = u / np.sqrt(u @ (K @ u))
+    Ku = K @ u
+    scale = np.sqrt(_dot(u, Ku))
+    u = u / scale
+    Ku = Ku / scale
     # one-signed up to solver accuracy: rough weights can graze zero, while
     # a genuine sign-changing mode has a negative part of order max(u)
     if np.min(u) < -1e-6 * np.max(u):
         raise SingularSystem(
             "principal eigenfunction is not one-signed; solver failure")
     lam = 1.0 / mu1
-    r = K @ u - lam * (_weighted_values(m) * u)
-    q = _weighted_values(m)
-    r -= q * (q @ r) / (q @ q)
-    residual = float(np.linalg.norm(r) / max(np.linalg.norm(K @ u), 1e-300))
+    r = Ku - lam * (q * u)
+    r -= q * (_dot(q, r) / _dot(q, q))
+    residual = float(np.sqrt(_dot(r, r))
+                     / max(np.sqrt(_dot(Ku, Ku)), 1e-300))
     return EigenPair(mu1=float(mu1), lambda1=float(lam), u=u,
                      residual=residual, stats=stats)
 
@@ -309,8 +322,8 @@ def _dct_operator(m: WeightField):
     scale = _mode_scale(grid, -0.5)
 
     def to_vm(y):
-        return project_mean_zero(
-            m, from_dct(grid, y.reshape(scale.shape) * scale))
+        u = from_dct(grid, y.reshape(scale.shape) * scale)
+        return u - _dot(q, u) / m.integral
 
     def matvec(y):
         return (to_dct(grid, q * to_vm(y)) * scale).ravel()
@@ -470,11 +483,11 @@ def rayleigh_quotient(m: WeightField, f) -> float:
     """
     f = as_field(m.grid, f)
     K = assemble_stiffness(m.grid)
-    den = float(f @ (K @ f))
-    energy_floor = 1e-14 * float(np.abs(K.diagonal()).max()) * float(f @ f)
+    den = _dot(f, K @ f)
+    energy_floor = 1e-14 * float(np.abs(K.diagonal()).max()) * _dot(f, f)
     if den <= energy_floor:
         raise ConstantField("field has zero Dirichlet energy")
-    num = float(f @ (_weighted_values(m) * f))
+    num = _dot(f, _weighted_values(m) * f)
     return num / den
 
 
@@ -488,7 +501,7 @@ def mu1_derivative(m: WeightField, v, solver: str = "dense") -> float:
     """
     v = as_field(m.grid, v)
     pair = principal_eigenpair(m, solver=solver)
-    return float((m.grid.cell_measure * pair.u ** 2) @ v)
+    return _dot(m.grid.cell_measure * pair.u ** 2, v)
 
 
 def mu1_extended(m: WeightField, solver: str = "dense",

@@ -1,5 +1,6 @@
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,17 @@ class TestMainExitCodes:
                                            "positive_fraction": 0.9}))
         assert main(["solve", "--config", str(bad), "--quiet"]) == 3
 
+    @pytest.mark.parametrize("name", ["missing.json", "a_directory",
+                                      "latin1.json"])
+    def test_unreadable_config_exit_3(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "latin1.json").write_bytes(b'{"version": "\xe9"}')
+        path = str(tmp_path / name)
+        assert main(["solve", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "--config" in err and path in err
+
     def test_solver_family_exit_3_on_inadmissible_explicit(self, tmp_path):
         # explicit all-negative weight passes parsing, fails admissibility
         doc = json.loads(config_text(
@@ -261,6 +273,18 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err.startswith(
             "solver error: stability guard needs inf")
+
+    @pytest.mark.parametrize("gamma", [0.0, 3.0])
+    def test_overflowing_initial_density_exit_3(self, tmp_path, capsys,
+                                                gamma):
+        cfg = tmp_path / "v0.json"
+        cfg.write_text(config_text(
+            simulate=dict(BASE_CONFIG["simulate"], gamma=gamma, v0=1e308)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert "initial density" in capsys.readouterr().err
 
     def test_shape_over_cell_cap_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "shape.json"

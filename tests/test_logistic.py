@@ -71,13 +71,25 @@ def test_unstable_guard(setup_1d):
         simulate_logistic(m, 1e9, np.full(64, 0.01), dt=10.0, t_end=10.0)
 
 
-@pytest.mark.parametrize("gamma,v0", [(1e308, 0.01), (5.0, 1e308)])
+@pytest.mark.parametrize("gamma,v0", [(1e308, 0.01)])
 def test_overflowed_guard_is_unstable(gamma, v0):
     # gamma * (max|m| + 2 max v) overflows to inf
     grid = build_grid("interval", [1.0], [16])
     m = weight_field(grid, np.where(np.arange(16) < 4, 2.0, -2.0))
     with pytest.raises(UnstableStep, match="inf substeps"):
         simulate_logistic(m, gamma, np.full(16, v0), dt=0.01, t_end=1.0)
+
+
+@pytest.mark.parametrize("gamma,v0", [
+    (5.0, 1e308), (0.0, 1e308), (0.0, 8e307),
+    (0.0, [1e308] + [0.0] * 15)])
+def test_overflowing_initial_density_rejected(gamma, v0):
+    # 16 * 8e307 overflows the initial mass, 2 * 1e308 the guard's rate
+    grid = build_grid("interval", [1.0], [16])
+    m = weight_field(grid, np.where(np.arange(16) < 4, 2.0, -2.0))
+    v0 = np.broadcast_to(np.asarray(v0, dtype=float), 16)
+    with pytest.raises(InvalidSpec, match="initial density"):
+        simulate_logistic(m, gamma, v0, dt=0.01, t_end=1.0)
 
 
 def test_pure_diffusion_conserves_mass(setup_1d):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -22,6 +27,7 @@ from eigenweight import (
     solution_operator,
     weight_field,
 )
+import eigenweight
 from eigenweight import spectral
 from eigenweight.grid import dct_eigenvalues, to_dct
 from eigenweight.spectral import SOLVERS
@@ -511,3 +517,35 @@ def test_weight_flags_recomputed(interval64):
     assert m.has_positive_part and m.is_admissible
     m2 = weight_field(interval64, -np.ones(64))
     assert not m2.has_positive_part and not m2.is_admissible
+
+
+#: a child run on a seeded 128x128 bang-bang weight: sha256 of the
+#: projected field's bytes and the repr of its Rayleigh quotient
+_REDUCTIONS_CHILD = """
+import hashlib
+import numpy as np
+from eigenweight import (build_grid, project_mean_zero, rayleigh_quotient,
+                         weight_field)
+grid = build_grid("rectangle", [2.0, 1.0], [128, 128])
+rng = np.random.default_rng(0)
+m = weight_field(grid, rng.permutation(
+    np.where(np.arange(grid.n_cells) < grid.n_cells // 4, 1.0, -2.0)))
+f = rng.standard_normal(grid.n_cells)
+print(hashlib.sha256(project_mean_zero(m, f).tobytes()).hexdigest())
+print(repr(rayleigh_quotient(m, f)))
+"""
+
+
+def test_reductions_independent_of_blas_threads():
+    # 16384 cells: long enough that a BLAS ddot would run threaded
+    src = str(Path(eigenweight.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _REDUCTIONS_CHILD], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]
