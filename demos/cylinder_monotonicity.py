@@ -17,10 +17,8 @@ from eigenweight import (
 
 
 def heatmap(values, grid):
-    rows = []
-    for line in grid.axis1_lines:
-        rows.append("".join("#" if v > 0 else "." for v in values[line]))
-    return "\n".join(rows)
+    return "\n".join("".join("#" if v > 0 else "." for v in line)
+                     for line in grid.lines(values))
 
 
 def main():

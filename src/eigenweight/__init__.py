@@ -25,7 +25,6 @@ from .errors import (
 from .grid import (
     Grid,
     assemble_stiffness,
-    axis_stiffness,
     build_grid,
     integrate,
 )
@@ -66,7 +65,7 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "build_grid", "assemble_stiffness", "axis_stiffness", "integrate",
+    "Grid", "build_grid", "assemble_stiffness", "integrate",
     "WeightField", "EigenPair", "SolveStats", "SignedSpectrum",
     "weight_field",
     "project_mean_zero", "solution_operator", "principal_eigenpair",

@@ -6,13 +6,14 @@ multi-index (i1, ..., iN) has flat index
 
     i1 + shape[0] * (i2 + shape[1] * i3).
 
-Lines of cells along the first axis are therefore contiguous ranges of flat
-indices, which keeps first-axis rearrangements cache-friendly and lets 2D
-field files open directly as heatmap matrices (one row per line).
+Lines of cells along the first axis are therefore contiguous runs of flat
+indices; ``Grid.lines`` reshapes a field into one row per line, and every
+module sees first-axis lines through it.
 
-Because the grids are uniform, the orthonormal DCT-II along each axis
-diagonalizes the stiffness matrix exactly (``dct_eigenvalues``); the
-spectral and logistic solvers work in that basis.
+The stiffness matrix K is the Kronecker sum of the per-axis 1D Neumann
+Laplacians.  On a uniform grid the orthonormal DCT-II diagonalizes each of
+them, hence K, with the per-axis eigenvalues summed (``dct_eigenvalues``);
+the spectral and logistic solvers work in that basis.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class Grid:
         Lebesgue measure of every cell, the product of the spacings.  One
         measure for all cells is what makes a rearrangement class a
         multiset of cell values and the DCT diagonalize the stiffness.
-    axis1_lines : ndarray, shape (n_lines, shape[0])
-        Flat indices of each full line of cells along the first axis,
-        ordered by increasing first coordinate.
     """
 
     dim: int
@@ -62,7 +60,6 @@ class Grid:
     shape: tuple
     spacing: tuple
     cell_measure: float
-    axis1_lines: np.ndarray
 
     @property
     def n_cells(self) -> int:
@@ -73,40 +70,16 @@ class Grid:
         """Measure of the whole domain."""
         return float(np.prod(self.extents))
 
-    def flat_index(self, multi_index) -> int:
-        """Layout map: (i1, ..., iN) -> flat index, first axis fastest."""
-        multi_index = tuple(multi_index)
-        if len(multi_index) != self.dim:
-            raise InvalidSpec(
-                f"multi-index {multi_index} does not match dim {self.dim}")
-        flat = 0
-        for axis in range(self.dim - 1, -1, -1):
-            i = multi_index[axis]
-            if not 0 <= i < self.shape[axis]:
-                raise InvalidSpec(
-                    f"index {i} out of range on axis {axis}")
-            flat = flat * self.shape[axis] + i
-        return flat
-
-    def multi_index(self, flat: int) -> tuple:
-        """Inverse layout map: flat index -> (i1, ..., iN)."""
-        if not 0 <= flat < self.n_cells:
-            raise InvalidSpec(f"flat index {flat} out of range")
-        out = []
-        for axis in range(self.dim):
-            out.append(flat % self.shape[axis])
-            flat //= self.shape[axis]
-        return tuple(out)
+    def lines(self, f) -> np.ndarray:
+        """A cell field with one first-axis line per row, by increasing
+        x1; a view that writes through to f when f is a contiguous float
+        array."""
+        return as_field(self, f).reshape(-1, self.shape[0])
 
     def cell_centers(self) -> np.ndarray:
         """Midpoints of all cells as an (n_cells, dim) array in flat order."""
-        idx = np.arange(self.n_cells)
-        centers = np.empty((self.n_cells, self.dim))
-        for a in range(self.dim):
-            ia = idx % self.shape[a]
-            idx = idx // self.shape[a]
-            centers[:, a] = (ia + 0.5) * self.spacing[a]
-        return centers
+        idx = np.indices(self.shape[::-1]).reshape(self.dim, -1)[::-1]
+        return (idx.T + 0.5) * np.array(self.spacing)
 
 
 def build_grid(kind: str, extents, shape) -> Grid:
@@ -154,54 +127,27 @@ def build_grid(kind: str, extents, shape) -> Grid:
             f"cap of {MAX_CELLS}")
 
     spacing = tuple(L / n for L, n in zip(extents, shape))
-    # first axis fastest: each line is a contiguous run of shape[0] indices
-    axis1_lines = np.arange(n_cells).reshape(-1, shape[0])
-    axis1_lines.setflags(write=False)
-    return Grid(dim, extents, shape, spacing, float(np.prod(spacing)),
-                axis1_lines)
-
-
-def _forward_difference(n: int) -> sp.csr_matrix:
-    """(n-1) x n interior-face forward difference; no ghost flux at the ends."""
-    return sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1],
-                    shape=(n - 1, n), format="csr")
-
-
-def axis_stiffness(grid: Grid, axis: int) -> sp.csr_matrix:
-    """Stiffness contribution of one axis: D^T diag(face_weight) D.
-
-    D is the forward difference across interior faces orthogonal to `axis`
-    and face_weight = (product of transverse spacings) / (axis spacing).
-    """
-    if not 0 <= axis < grid.dim:
-        raise InvalidSpec(f"axis {axis} out of range for dim {grid.dim}")
-    mats = []
-    for a in range(grid.dim):
-        if a == axis:
-            mats.append(_forward_difference(grid.shape[a]))
-        else:
-            mats.append(sp.identity(grid.shape[a], format="csr"))
-    # flat index has axis 0 fastest -> kron order is reversed
-    diff = mats[grid.dim - 1]
-    for a in range(grid.dim - 2, -1, -1):
-        diff = sp.kron(diff, mats[a], format="csr")
-    face_weight = grid.cell_measure / grid.spacing[axis] ** 2
-    return (face_weight * (diff.T @ diff)).tocsr()
+    return Grid(dim, extents, shape, spacing, float(np.prod(spacing)))
 
 
 @lru_cache(maxsize=32)
 def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
     """Assemble the Neumann stiffness matrix K of the grid.
 
-    Finite-volume / tensor-difference assembly summed over axes.
+    K is the Kronecker sum over axes of the 1D zero-flux Laplacians
+    tridiag(-1, 2, -1), with 1 in both corners (no flux through the ends),
+    each scaled by its face weight cell_measure / spacing[a]**2.
     ``f @ K @ f`` discretizes the Dirichlet energy of the piecewise field
     f.  K is symmetric with zero row sums (the discrete Neumann condition)
     and positive semidefinite; f^T K f = 0 exactly when f is constant.
     """
-    K = axis_stiffness(grid, 0)
-    for a in range(1, grid.dim):
-        K = K + axis_stiffness(grid, a)
-    return ((K + K.T) * 0.5).tocsr()  # enforce exact symmetry
+    K = sp.csr_matrix((1, 1))
+    for n, h in zip(grid.shape, grid.spacing):
+        lap = sp.diags([-1.0, np.r_[1.0, np.full(n - 2, 2.0), 1.0], -1.0],
+                       [-1, 0, 1], shape=(n, n))
+        # kronsum(K, lap) puts the new axis slowest: first axis fastest
+        K = sp.kronsum(K, grid.cell_measure / h ** 2 * lap, format="csr")
+    return K
 
 
 @lru_cache(maxsize=32)
@@ -209,7 +155,7 @@ def dct_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues of the stiffness matrix in the orthonormal DCT-II basis.
 
     On a uniform grid the DCT-II along each axis diagonalizes the 1D
-    Neumann difference D^T D with eigenvalues 2 - 2 cos(pi k / n), so K is
+    Neumann Laplacian with eigenvalues 2 - 2 cos(pi k / n), so K is
     diagonal in the tensor-product basis with eigenvalues summed over axes,
     each scaled by its face weight.  The array has layout shape[::-1] (the
     layout of ``to_dct``); entry [0, ..., 0] is the constant mode, exactly 0.

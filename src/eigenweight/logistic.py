@@ -68,8 +68,8 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     substeps keeping  dt_sub * gamma * (max|m| + 2 max v) < 1,  which
     bounds the explicit reaction and keeps the implicit diffusion solve
     nonnegative; UnstableStep is raised if the guard needs more than
-    10^6 substeps, and InvalidSpec if the initial mass or max|m| + 2 max v0
-    overflows.
+    10^6 substeps, and InvalidSpec if the initial mass, max|m| + 2 max v0
+    or a substep's right-hand side overflows.
     """
     grid = m.grid
     v = as_field(grid, v0).copy()
@@ -115,7 +115,12 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
         n_sub = int(substeps) + 1
         dt_sub = step_dt / n_sub
         for _ in range(n_sub):
-            rhs = w * (v / dt_sub + gamma * v * (m.values - v))
+            try:  # not checked up front: a short last step shrinks dt_sub
+                with np.errstate(over="raise"):
+                    rhs = w * (v / dt_sub + gamma * v * (m.values - v))
+            except FloatingPointError as exc:
+                raise InvalidSpec(f"initial density overflows v / dt_sub at "
+                                  f"substep length {dt_sub:g}") from exc
             v = _implicit_diffusion(grid, dt_sub, rhs)
             low = float(v.min())
             if low < 0.0:

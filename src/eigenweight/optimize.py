@@ -26,6 +26,10 @@ from .rearrange import RearrangementClass, comonotone_arrangement
 from .spectral import EigenPair, principal_eigenpair, weight_field
 
 
+#: per-line label indexed by 2 * nonincreasing + nondecreasing
+_LINE_LABELS = np.array(["none", "increasing", "decreasing", "constant"])
+
+
 @dataclass(frozen=True, eq=False)
 class MonotonicityReport:
     """Per-line monotonicity scan along the first axis.
@@ -64,24 +68,13 @@ class OptimizationResult:
 
 def check_monotone_x1(m, grid: Grid) -> MonotonicityReport:
     """Classify a field's monotonicity along every first-axis line."""
-    m = as_field(grid, m)
-    labels = []
-    for line in grid.axis1_lines:
-        diffs = np.diff(m[line])
-        noninc = bool(np.all(diffs <= 0))
-        nondec = bool(np.all(diffs >= 0))
-        if noninc and nondec:
-            labels.append("constant")
-        elif noninc:
-            labels.append("decreasing")
-        elif nondec:
-            labels.append("increasing")
-        else:
-            labels.append("none")
-    per_line = tuple(labels)
-    if all(lab in ("decreasing", "constant") for lab in per_line):
+    diffs = np.diff(grid.lines(m), axis=1)
+    noninc = np.all(diffs <= 0, axis=1)
+    nondec = np.all(diffs >= 0, axis=1)
+    per_line = tuple(_LINE_LABELS[2 * noninc + nondec].tolist())
+    if noninc.all():
         classification = "monotone_decreasing"
-    elif all(lab in ("increasing", "constant") for lab in per_line):
+    elif nondec.all():
         classification = "monotone_increasing"
     else:
         classification = "not_monotone"
@@ -241,6 +234,6 @@ def oscillating_arrangement(cls: RearrangementClass, grid: Grid,
     stripes = np.repeat(np.tile(cls.values, k), table)
     out = np.empty(n)
     # stripe s holds cells s * period ... (s + 1) * period - 1 of each line
-    out.reshape(-1, k, period)[...] = \
+    grid.lines(out).reshape(-1, k, period)[...] = \
         stripes.reshape(k, -1, period).transpose(1, 0, 2)
     return out

@@ -156,13 +156,10 @@ def monotone_x1_rearrangement(f, grid: Grid, direction: str = "decreasing") -> n
     The output is equimeasurable with f and monotone along every line;
     applying the operation twice equals applying it once.
     """
-    f = as_field(grid, f)
+    lines = grid.lines(f)
     if direction not in ("decreasing", "increasing"):
         raise ValueError(f"unknown direction {direction!r}")
-    lines = grid.axis1_lines
-    sorted_lines = np.sort(f[lines], axis=1)
+    lines = np.sort(lines, axis=1)
     if direction == "decreasing":
-        sorted_lines = sorted_lines[:, ::-1]
-    out = np.empty_like(f)
-    out[lines.ravel()] = sorted_lines.ravel()
-    return out
+        lines = lines[:, ::-1]
+    return lines.ravel()

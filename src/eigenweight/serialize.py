@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ParseError
-from .grid import Grid, as_field
+from .grid import Grid
 from .logistic import Trajectory
 from .optimize import OptimizationResult
 from .rearrange import RearrangementClass
@@ -22,13 +22,13 @@ from .spectral import EigenPair, SignedSpectrum
 
 def write_field_csv(path, values: np.ndarray, grid: Grid) -> None:
     """Write a cell field, one row per first-axis line."""
-    values = as_field(grid, values)
+    lines = grid.lines(values)
     shape = ",".join(str(n) for n in grid.shape)
     extents = ",".join(repr(float(L)) for L in grid.extents)
     with open(path, "w") as fh:
         fh.write(f"# dim={grid.dim} shape={shape} extents={extents}\n")
-        for line in grid.axis1_lines:
-            fh.write(",".join(repr(float(v)) for v in values[line]) + "\n")
+        for line in lines:
+            fh.write(",".join(repr(float(v)) for v in line) + "\n")
 
 
 def read_field_csv(path):
@@ -50,13 +50,12 @@ def read_field_csv(path):
     n_lines = int(np.prod(shape)) // n1
     if len(rows) != n_lines:
         raise ParseError(f"{path}: {len(rows)} data rows, expected {n_lines}")
-    values = np.empty(int(np.prod(shape)))
     for i, row in enumerate(rows):
         if row.size != n1:
             raise ParseError(f"{path}: row {i} has {row.size} values, "
                              f"expected {n1}")
-        values[i * n1:(i + 1) * n1] = row
-    return values, {"dim": dim, "shape": shape, "extents": extents}
+    return (np.array(rows, dtype=float).ravel(),
+            {"dim": dim, "shape": shape, "extents": extents})
 
 
 def write_profile_csv(path, cls: RearrangementClass) -> None:

@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .grid import assemble_stiffness, axis_stiffness, build_grid, integrate
+from .grid import assemble_stiffness, build_grid, integrate
 from .logistic import simulate_logistic
 from .optimize import minimize_lambda1, oscillating_arrangement
 from .rearrange import (
@@ -84,7 +84,12 @@ def random_admissible_values(rng: np.random.Generator, n: int) -> np.ndarray:
     if mean > -0.05:
         values = values - (mean + 0.1)
     if not np.any(values > 0):
-        values[int(rng.integers(n))] = 0.5
+        i = int(rng.integers(n))
+        values[i] = 0.5
+        # on a few cells the raised one can lift the mean; lower the rest
+        mean = values.mean()
+        if mean > -0.05:
+            values[np.arange(n) != i] -= (mean + 0.1) * n / (n - 1)
     return values
 
 
@@ -123,6 +128,13 @@ def two_phase_lambda1(a: float, b: float, cut: float, length: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def lines_run_along_x1(grid) -> bool:
+    """Along each row of ``grid.lines`` x1 increases and every other
+    coordinate stays constant: the rows are the first-axis lines."""
+    x1, *rest = (np.diff(grid.lines(x), axis=1) for x in grid.cell_centers().T)
+    return bool(np.all(x1 > 0) and all(np.all(d == 0) for d in rest))
 
 
 def _two_phase_weight(grid):
@@ -331,7 +343,7 @@ def check_criterion_8_oscillation(rng) -> str:
 def check_criterion_9_rearrangement(rng) -> str:
     """Rearrangement inequalities and majorization, 1000 trials."""
     grid = build_grid("interval", [1.0], [64])
-    K1 = axis_stiffness(grid, 0)
+    K = assemble_stiffness(grid)
     w = grid.cell_measure
     defect = _Defects()
     for _ in range(1000):
@@ -344,7 +356,7 @@ def check_criterion_9_rearrangement(rng) -> str:
         # 1D discrete Polya-Szego on nonnegative data
         fp = np.abs(f)
         fps = monotone_x1_rearrangement(fp, grid)
-        defect("Polya-Szego excess", fps @ (K1 @ fps) - fp @ (K1 @ fp),
+        defect("Polya-Szego excess", fps @ (K @ fps) - fp @ (K @ fp),
                1e-12)
         _expect(np.array_equal(monotone_x1_rearrangement(fs, grid), fs),
                 "x1 sort not idempotent")
@@ -408,9 +420,8 @@ def check_grid_invariants(rng) -> str:
         defect("cell measures vs volume",
                abs(grid.cell_measure * grid.n_cells - grid.volume)
                / grid.volume, 1e-12)
-        _expect(np.array_equal(np.sort(grid.axis1_lines.ravel()),
-                               np.arange(grid.n_cells)),
-                f"{kind}: lines do not partition the cells")
+        _expect(lines_run_along_x1(grid),
+                f"{kind}: a row of Grid.lines is not a first-axis line")
         K = assemble_stiffness(grid)
         _expect((K - K.T).nnz == 0, f"{kind}: K not symmetric")
         defect("K applied to constants",

@@ -286,6 +286,20 @@ class TestMainExitCodes:
                          "--out", str(tmp_path / "out")]) == 3
         assert "initial density" in capsys.readouterr().err
 
+    def test_overflowing_substep_exit_3(self, tmp_path, capsys):
+        # passes the input checks, then v0 / dt_sub overflows in the step
+        cfg = tmp_path / "v0.json"
+        cfg.write_text(config_text(
+            domain={"type": "interval", "extents": [1.0], "shape": [16]},
+            simulate=dict(BASE_CONFIG["simulate"], gamma=0.0, dt=0.05,
+                          v0=1e307)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "initial density" in err and "substep length 0.05" in err
+
     def test_shape_over_cell_cap_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "shape.json"
         cfg.write_text(config_text(

@@ -7,11 +7,11 @@ from eigenweight import (
     InvalidSpec,
     LengthMismatch,
     assemble_stiffness,
-    axis_stiffness,
     build_grid,
     integrate,
 )
 from eigenweight.grid import MAX_CELLS
+from eigenweight.verify import lines_run_along_x1
 
 
 def test_interval_partition():
@@ -80,13 +80,24 @@ def test_kind_dimension_mismatch():
         build_grid("cylinder", [1.0], [4])
 
 
-def test_axis1_lines_partition_cells():
-    grid = build_grid("box", [1.0, 2.0, 3.0], [4, 3, 2])
-    lines = grid.axis1_lines
-    assert lines.shape == (6, 4)
-    assert np.array_equal(np.sort(lines.ravel()), np.arange(grid.n_cells))
-    # lines run along the first axis: consecutive flat indices
-    assert np.all(np.diff(lines, axis=1) == 1)
+@settings(max_examples=30, deadline=None)
+@given(shape=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+       extents=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3))
+def test_lines_run_along_x1(shape, extents):
+    kind = ["interval", "rectangle", "box"][len(shape) - 1]
+    grid = build_grid(kind, extents[:len(shape)], shape)
+    assert grid.lines(np.arange(grid.n_cells)).shape \
+        == (grid.n_cells // shape[0], shape[0])
+    assert lines_run_along_x1(grid)
+
+
+def test_lines_is_a_view():
+    grid = build_grid("rectangle", [1.0, 1.0], [3, 2])
+    f = np.zeros(6)
+    grid.lines(f)[1, 0] = 1.0
+    assert f.tolist() == [0, 0, 0, 1, 0, 0]
+    with pytest.raises(LengthMismatch):
+        grid.lines(np.zeros(5))
 
 
 def test_cell_centers_midpoints():
@@ -95,20 +106,10 @@ def test_cell_centers_midpoints():
     assert centers[0].tolist() == [0.25, 0.25]
     assert centers[1].tolist() == [0.75, 0.25]  # first axis fastest
     assert centers[4].tolist() == [0.25, 0.75]
-
-
-def test_layout_roundtrip():
-    grid = build_grid("box", [1.0, 1.0, 1.0], [4, 3, 2])
-    assert grid.flat_index((0, 0, 0)) == 0
-    assert grid.flat_index((1, 0, 0)) == 1  # first axis fastest
-    assert grid.flat_index((0, 1, 0)) == 4
-    assert grid.flat_index((0, 0, 1)) == 12
-    for flat in range(grid.n_cells):
-        assert grid.flat_index(grid.multi_index(flat)) == flat
-    with pytest.raises(InvalidSpec):
-        grid.flat_index((4, 0, 0))
-    with pytest.raises(InvalidSpec):
-        grid.flat_index((0, 0))
+    box = build_grid("box", [4.0, 3.0, 2.0], [4, 3, 2]).cell_centers()
+    assert box[1].tolist() == [1.5, 0.5, 0.5]
+    assert box[4].tolist() == [0.5, 1.5, 0.5]  # second axis next
+    assert box[12].tolist() == [0.5, 0.5, 1.5]  # third axis slowest
 
 
 def test_stiffness_interval_n3():
@@ -147,14 +148,6 @@ def test_energy_zero_only_for_constants(rng):
     for _ in range(20):
         f = rng.standard_normal(grid.n_cells)
         assert f @ (K @ f) > 1e-8 * f @ f
-
-
-def test_axis_stiffness_splits_total():
-    grid = build_grid("rectangle", [2.0, 1.0], [6, 4])
-    K = assemble_stiffness(grid)
-    K0 = axis_stiffness(grid, 0)
-    K1 = axis_stiffness(grid, 1)
-    assert abs(K - (K0 + K1)).max() < 1e-14
 
 
 def test_stiffness_consistency_first_order():

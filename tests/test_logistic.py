@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -90,6 +92,19 @@ def test_overflowing_initial_density_rejected(gamma, v0):
     v0 = np.broadcast_to(np.asarray(v0, dtype=float), 16)
     with pytest.raises(InvalidSpec, match="initial density"):
         simulate_logistic(m, gamma, v0, dt=0.01, t_end=1.0)
+
+
+@pytest.mark.parametrize("dt,t_end", [(0.05, 1.0), (1.0, 1.05)])
+def test_overflowing_substep_rejected(dt, t_end):
+    # v0 / dt_sub overflows inside the step; the second case only in the
+    # short last step of length 0.05
+    grid = build_grid("interval", [1.0], [16])
+    m = weight_field(grid, np.where(np.arange(16) < 4, 2.0, -2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidSpec, match="initial density.*0.05"):
+            simulate_logistic(m, 0.0, np.full(16, 1e307), dt=dt,
+                              t_end=t_end)
 
 
 def test_pure_diffusion_conserves_mass(setup_1d):

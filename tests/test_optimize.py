@@ -52,6 +52,39 @@ class TestCheckMonotone:
         assert rep.classification == "not_monotone"
         assert rep.per_line == ("decreasing", "increasing")
 
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.lists(st.integers(2, 4), min_size=2, max_size=3),
+           data=st.data())
+    def test_labels_match_per_line_loop(self, shape, data):
+        grid = build_grid(("rectangle", "box")[len(shape) - 2],
+                          [1.0] * len(shape), shape)
+        n1 = shape[0]
+        n_lines = grid.n_cells // n1
+        level = st.integers(-2, 2).map(float)
+        m = np.concatenate(data.draw(st.lists(
+            st.one_of(level.map(lambda c: [c] * n1),  # a constant line
+                      st.lists(level, min_size=n1, max_size=n1)),
+            min_size=n_lines, max_size=n_lines)))
+        expected = []
+        for r in range(n_lines):
+            d = np.diff(m[r * n1:(r + 1) * n1])
+            if np.all(d == 0):
+                expected.append("constant")
+            elif np.all(d <= 0):
+                expected.append("decreasing")
+            elif np.all(d >= 0):
+                expected.append("increasing")
+            else:
+                expected.append("none")
+        rep = check_monotone_x1(m, grid)
+        assert rep.per_line == tuple(expected)
+        if set(expected) <= {"decreasing", "constant"}:
+            assert rep.classification == "monotone_decreasing"
+        elif set(expected) <= {"increasing", "constant"}:
+            assert rep.classification == "monotone_increasing"
+        else:
+            assert rep.classification == "not_monotone"
+
 
 class TestComonotoneViolations:
     def test_matches_brute_force_pair_count(self, rng):

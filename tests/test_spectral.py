@@ -49,6 +49,21 @@ ROUGH_GRIDS = [
 ]
 
 
+#: side lengths to draw from; a grid uses the first one per axis
+EXTENTS = st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3)
+
+#: cell counts of 1D, 2D and 3D grids with at most 64 cells
+SMALL_SHAPES = st.one_of(
+    st.tuples(st.integers(2, 64)),
+    st.tuples(st.integers(2, 8), st.integers(2, 8)),
+    st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)))
+
+
+def drawn_grid(shape, extents):
+    kind = ("interval", "rectangle", "box")[len(shape) - 1]
+    return build_grid(kind, extents[:len(shape)], shape)
+
+
 def weights(grid, values):
     return weight_field(grid, np.asarray(values, dtype=float))
 
@@ -58,6 +73,17 @@ def rough_bang_bang(grid, seed):
     n = grid.n_cells
     values = np.where(np.arange(n) < n // 4, 1.0, -2.0)
     return weights(grid, np.random.default_rng(seed).permutation(values))
+
+
+def assert_dct_diagonalizes_stiffness(grid):
+    K = assemble_stiffness(grid).toarray()
+    n = grid.n_cells
+    C = np.column_stack([to_dct(grid, e).ravel() for e in np.eye(n)])
+    np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-14)
+    lam = dct_eigenvalues(grid).ravel()
+    assert lam[0] == 0.0 and lam[1:].min() > 0
+    defect = np.abs(C.T @ (lam[:, None] * C) - K).max()
+    assert defect <= 1e-13 * np.abs(K).max()
 
 
 def assert_matches_dense(pair, m):
@@ -274,15 +300,15 @@ class TestPrincipalEigenpair:
 class TestDctKernel:
     @pytest.mark.parametrize("kind,extents,shape", ODD_GRIDS)
     def test_eigenvalues_reproduce_stiffness(self, kind, extents, shape):
-        grid = build_grid(kind, extents, shape)
-        K = assemble_stiffness(grid).toarray()
-        n = grid.n_cells
-        C = np.column_stack([to_dct(grid, e).ravel() for e in np.eye(n)])
-        np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-14)
-        lam = dct_eigenvalues(grid).ravel()
-        assert lam[0] == 0.0 and lam[1:].min() > 0
-        defect = np.abs(C.T @ (lam[:, None] * C) - K).max()
-        assert defect <= 1e-13 * np.abs(K).max()
+        assert_dct_diagonalizes_stiffness(build_grid(kind, extents, shape))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+           extents=EXTENTS)
+    def test_eigenvalues_reproduce_stiffness_on_drawn_grids(self, shape,
+                                                            extents):
+        # non-square shapes catch the axes of K put in the wrong order
+        assert_dct_diagonalizes_stiffness(drawn_grid(shape, extents))
 
     @pytest.mark.parametrize("kind,extents,shape", ODD_GRIDS + [
         ("rectangle", [2.0, 1.0], [16, 8]),
@@ -489,6 +515,34 @@ class TestDerivative:
         c = 3.7
         assert mu1_derivative(m, np.full(64, c)) == pytest.approx(
             c * mass, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=SMALL_SHAPES, extents=EXTENTS, seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(0.1, 10.0))
+def test_invariants_on_random_admissible_weights(shape, extents, seed, alpha):
+    grid = drawn_grid(shape, extents)
+    vals = random_admissible(np.random.default_rng(seed), grid.n_cells)
+    m = weights(grid, vals)
+    for solver in SOLVERS:
+        pair = principal_eigenpair(m, solver=solver)
+        scaled = principal_eigenpair(weights(grid, alpha * vals),
+                                     solver=solver)
+        assert abs(scaled.mu1 - alpha * pair.mu1) <= 1e-10 * alpha * pair.mu1
+        assert abs(mu1_derivative(m, vals, solver=solver) - pair.mu1) \
+            <= 1e-10 * pair.mu1
+        assert pair.u.min() > 0
+        if solver == "iterative":
+            assert_matches_dense(pair, m)
+
+
+def test_random_admissible_on_few_cells():
+    # with two cells, raising one to give a positive part once lifted the
+    # mean above zero
+    for n in (2, 3, 4):
+        for seed in range(50):
+            vals = random_admissible(np.random.default_rng(seed), n)
+            assert vals.max() > 0 and vals.mean() <= -0.05
 
 
 class TestExtendedMu1:
