@@ -187,6 +187,19 @@ def _weighted_values(m: WeightField) -> np.ndarray:
     return m.grid.cell_measure * m.values
 
 
+def _unit_weight(m: WeightField) -> tuple[WeightField, int]:
+    """m / 2^e with 2^e the power of two just above max|m|, and e.
+
+    mu1, the signed spectrum and the solution operator are of degree 1 in
+    m, so they are computed on the unit weight and scaled back by 2^e with
+    ``np.ldexp``.  The division is exact, so weights of ordinary scale give
+    the bytes an unscaled computation gives, and weights near the overflow
+    or underflow threshold are computed too.
+    """
+    exp = int(np.frexp(np.abs(m.values).max())[1])
+    return weight_field(m.grid, np.ldexp(m.values, -exp)), exp
+
+
 def project_mean_zero(m: WeightField, f) -> np.ndarray:
     """Remove the m-weighted mean: f - (int m f / int m).
 
@@ -220,11 +233,12 @@ def solution_operator(m: WeightField, f) -> np.ndarray:
     if m.integral == 0.0:
         raise ZeroWeightIntegral("weight integrates to zero")
     f = as_field(m.grid, f)
+    m, exp = _unit_weight(m)
     q = _weighted_values(m)
     g = q * f
     g -= q * (g.sum() / m.integral)
     u = from_dct(m.grid, to_dct(m.grid, g) * _mode_scale(m.grid, -1.0))
-    return project_mean_zero(m, u)
+    return np.ldexp(project_mean_zero(m, u), exp)
 
 
 def _vm_basis(m: WeightField) -> np.ndarray:
@@ -424,16 +438,11 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
     on the DCT kernel with the shift-invert fallback ("iterative", no size
     cap); both paths return the eigenfunction normalized by u^T K u = 1
     with the sign fixed positive, and ``stats`` names the path that ran.
-
-    Both paths solve on m / 2^e with 2^e the power of two just above
-    max|m|, and scale mu1 back by degree-1 homogeneity.  The division is
-    exact, so weights of ordinary scale give the bytes an unscaled solve
-    gives, and weights near the overflow or underflow threshold solve too.
+    Both paths solve on ``_unit_weight(m)``.
     """
     _check_admissible(m)
-    exp = int(np.frexp(np.abs(m.values).max())[1])
-    pair = _unit_eigenpair(weight_field(m.grid, np.ldexp(m.values, -exp)),
-                           solver, tol)
+    unit, exp = _unit_weight(m)
+    pair = _unit_eigenpair(unit, solver, tol)
     sigma = pair.stats.sigma
     return replace(pair, mu1=float(np.ldexp(pair.mu1, exp)),
                    lambda1=float(np.ldexp(pair.lambda1, -exp)),
@@ -460,13 +469,15 @@ def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
 def signed_spectrum(m: WeightField, k: int) -> SignedSpectrum:
     """The k largest positive and k most negative pencil eigenvalues.
 
-    Dense only.  The positive list is empty exactly when the weight has no
-    positive part, the negative list exactly when it has no negative part.
+    Dense only, on ``_unit_weight(m)``.  The positive list is empty
+    exactly when the weight has no positive part, the negative list exactly
+    when it has no negative part.
     """
     if m.integral == 0.0:
         raise ZeroWeightIntegral("weight integrates to zero")
-    A, S, _ = _dense_pencil(m)
-    vals = scipy.linalg.eigh(A, S, eigvals_only=True)
+    unit, exp = _unit_weight(m)
+    A, S, _ = _dense_pencil(unit)
+    vals = np.ldexp(scipy.linalg.eigh(A, S, eigvals_only=True), exp)
     pos = vals[vals > 0][::-1][:k].copy()
     neg = vals[vals < 0][:k].copy()
     bound = float(np.max(np.abs(vals))) if vals.size else 0.0

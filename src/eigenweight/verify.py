@@ -1,29 +1,28 @@
-"""The property suite: acceptance criteria 1-10 and the module invariants.
+"""The property suite: acceptance criteria 1-10, one check each.
 
-Each ``check_<name>(rng)`` runs one property family on seeded data at the
-size, trial count and bound its acceptance criterion states.  It raises
+Each ``check_criterion_<n>_<name>(rng)`` runs one criterion on seeded data
+at the size, trial count and bound the criterion states.  It raises
 ``CheckFailed`` naming the violated property, or returns a detail string.
 The CLI ``verify`` subcommand runs every check through ``run_all_checks``;
-the pytest acceptance suite calls the ``check_criterion_*`` checks with
-its own fixed seeds.  Checks that draw no random data accept
-``rng=None``.  The eigenvalue oracle ``two_phase_lambda1`` is a closed
-form, independent of the discretization.
+the pytest acceptance suite calls them with its own fixed seeds.  The
+unit invariants of the modules live in the pytest suite only.  Checks that
+draw no random data accept ``rng=None``.  The eigenvalue oracle
+``two_phase_lambda1`` is a closed form, independent of the
+discretization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .grid import assemble_stiffness, build_grid, integrate
+from .grid import assemble_stiffness, build_grid
 from .logistic import simulate_logistic
 from .optimize import minimize_lambda1, oscillating_arrangement
 from .rearrange import (
     check_majorization,
-    comonotone_arrangement,
     decreasing_rearrangement,
     equimeasurable,
     monotone_x1_rearrangement,
@@ -34,7 +33,6 @@ from .spectral import (
     principal_eigenpair,
     project_mean_zero,
     rayleigh_quotient,
-    signed_spectrum,
     solution_operator,
     weight_field,
 )
@@ -128,13 +126,6 @@ def two_phase_lambda1(a: float, b: float, cut: float, length: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def lines_run_along_x1(grid) -> bool:
-    """Along each row of ``grid.lines`` x1 increases and every other
-    coordinate stays constant: the rows are the first-axis lines."""
-    x1, *rest = (np.diff(grid.lines(x), axis=1) for x in grid.cell_centers().T)
-    return bool(np.all(x1 > 0) and all(np.all(d == 0) for d in rest))
 
 
 def _two_phase_weight(grid):
@@ -409,76 +400,7 @@ def check_criterion_10_persistence(rng) -> str:
     return f"1.2 lambda1 persists, 0.8 lambda1 dies out, {defect}"
 
 
-def check_grid_invariants(rng) -> str:
-    defect = _Defects()
-    for kind, extents, shape in [
-        ("interval", [1.0], [17]),
-        ("rectangle", [2.0, 1.0], [8, 6]),
-        ("box", [1.0, 0.5, 0.25], [4, 3, 2]),
-    ]:
-        grid = build_grid(kind, extents, shape)
-        defect("cell measures vs volume",
-               abs(grid.cell_measure * grid.n_cells - grid.volume)
-               / grid.volume, 1e-12)
-        _expect(lines_run_along_x1(grid),
-                f"{kind}: a row of Grid.lines is not a first-axis line")
-        K = assemble_stiffness(grid)
-        _expect((K - K.T).nnz == 0, f"{kind}: K not symmetric")
-        defect("K applied to constants",
-               np.abs(K @ np.ones(grid.n_cells)).max(), 1e-12)
-        f = rng.standard_normal(grid.n_cells)
-        _expect(f @ (K @ f) >= -1e-12, f"{kind}: K not PSD")
-    return str(defect)
-
-
-def check_stiffness_consistency(rng) -> str:
-    # u(x) = x has unit Dirichlet energy; the assembled form misses one
-    # half-cell at each end, a first-order defect
-    defects = []
-    for n in (32, 64, 128, 256):
-        grid = build_grid("interval", [1.0], [n])
-        u = grid.cell_centers()[:, 0]
-        defects.append(abs(u @ (assemble_stiffness(grid) @ u) - 1.0))
-    rates = [np.log2(defects[i] / defects[i + 1]) for i in range(3)]
-    detail = (f"defects {['%.2e' % d for d in defects]}, rates "
-              f"{['%.2f' % r for r in rates]}")
-    _expect(all(r > 0.9 for r in rates), f"not first order: {detail}")
-    return detail
-
-
-def check_comonotone_brute_force(rng) -> str:
-    grid = build_grid("interval", [1.0], [4])
-    for _ in range(60):
-        u = rng.standard_normal(4)
-        cls = decreasing_rearrangement(rng.standard_normal(4), grid)
-        target = integrate(grid, comonotone_arrangement(cls, u, grid) * u)
-        brute = max(integrate(grid, np.array(p) * u)
-                    for p in permutations(cls.cell_values(grid)))
-        _expect(target >= brute - 1e-12,
-                f"greedy {target} < brute force {brute}")
-    return "60 trials"
-
-
-def check_signed_spectrum(rng) -> str:
-    grid = build_grid("interval", [1.0], [32])
-    m = weight_field(grid, random_admissible_values(rng, grid.n_cells))
-    spec = signed_spectrum(m, 5)
-    pair = principal_eigenpair(m)
-    _expect(spec.basis_dim == grid.n_cells - 1,
-            f"basis dimension {spec.basis_dim}")
-    _expect(np.all(np.diff(spec.positive) <= 0)
-            and np.all(np.diff(spec.negative) >= 0),
-            "eigenvalues out of order")
-    gap = abs(spec.positive[0] - pair.mu1)
-    _expect(gap < 1e-10 * pair.mu1, f"mu1 cross-check gap {gap:.2e}")
-    neg = weight_field(grid, -np.abs(random_admissible_values(
-        rng, grid.n_cells)) - 0.1)
-    _expect(signed_spectrum(neg, 3).positive.size == 0,
-            "a negative weight has a positive eigenvalue")
-    return f"mu1 cross-check gap {gap:.2e}"
-
-
-#: acceptance criteria 1-10, then the invariants no criterion states
+#: acceptance criteria 1-10, in order
 ALL_CHECKS = (
     check_criterion_1_eigenvalue_oracle,
     check_criterion_2_identity_suite,
@@ -490,10 +412,6 @@ ALL_CHECKS = (
     check_criterion_8_oscillation,
     check_criterion_9_rearrangement,
     check_criterion_10_persistence,
-    check_grid_invariants,
-    check_stiffness_consistency,
-    check_comonotone_brute_force,
-    check_signed_spectrum,
 )
 
 

@@ -300,6 +300,29 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "initial density" in err and "substep length 0.05" in err
 
+    def test_extreme_scale_spectrum_exit_0(self, tmp_path):
+        # |W m|^2 overflows at 1e200 and underflows at 1e-200 unless the
+        # spectrum rescales the weight
+        def spectrum(scale, out):
+            cfg = tmp_path / f"{out}.json"
+            cfg.write_text(config_text(
+                weight={"kind": "bang_bang", "positive_value": scale,
+                        "negative_value": -2.0 * scale,
+                        "positive_fraction": 0.25},
+                solve={"spectrum": 3}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["solve", "--config", str(cfg), "--quiet",
+                             "--out", str(tmp_path / out)]) == 0
+            rows = (tmp_path / out / "spectrum.csv").read_text().splitlines()
+            return np.array([[float(v) for v in row.split(",")[1:]]
+                             for row in rows[1:]])
+
+        unit = spectrum(1.0, "unit")
+        for scale in (1e200, 1e-200):
+            np.testing.assert_allclose(spectrum(scale, f"{scale:g}"),
+                                       scale * unit, rtol=1e-10, atol=0)
+
     def test_shape_over_cell_cap_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "shape.json"
         cfg.write_text(config_text(
@@ -461,7 +484,7 @@ class TestVerifyAndDumps:
         report = (tmp_path / "verify_report.txt").read_text()
         assert "FAIL" not in report
         assert all(f"PASS criterion_{i}_" in report for i in range(1, 11))
-        assert report.strip().endswith("checks passed")
+        assert report.splitlines()[-1] == "10/10 checks passed"
 
     def test_verify_failure_exit_4(self, tmp_path, monkeypatch):
         def check_fails(rng):

@@ -11,7 +11,13 @@ from eigenweight import (
     integrate,
 )
 from eigenweight.grid import MAX_CELLS
-from eigenweight.verify import lines_run_along_x1
+
+
+def lines_run_along_x1(grid) -> bool:
+    """Along each row of ``grid.lines`` x1 increases and every other
+    coordinate stays constant: the rows are the first-axis lines."""
+    x1, *rest = (np.diff(grid.lines(x), axis=1) for x in grid.cell_centers().T)
+    return bool(np.all(x1 > 0) and all(np.all(d == 0) for d in rest))
 
 
 def test_interval_partition():
@@ -26,6 +32,14 @@ def test_rectangle_product_measure():
     grid = build_grid("rectangle", [2.0, 1.0], [4, 2])
     assert grid.n_cells == 8
     np.testing.assert_allclose(grid.cell_measure, 0.25)
+    assert abs(grid.cell_measure * grid.n_cells - grid.volume) \
+        < 1e-12 * grid.volume
+
+
+def test_box_product_measure():
+    grid = build_grid("box", [1.0, 0.5, 0.25], [4, 3, 2])
+    assert grid.n_cells == 24
+    np.testing.assert_allclose(grid.cell_measure, 0.125 / 24)
     assert abs(grid.cell_measure * grid.n_cells - grid.volume) \
         < 1e-12 * grid.volume
 
