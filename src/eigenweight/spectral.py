@@ -10,9 +10,11 @@ the mean-zero-against-m subspace
 
 equipped with the stiffness (Dirichlet) inner product <f, g> = f^T K g.
 
-The dense path restricts the pencil (W diag(m), K) to V_m through an
-orthonormal basis and is the oracle of record up to ``DENSE_CELL_LIMIT``
-cells.  The iterative path uses that the orthonormal DCT-II diagonalizes K
+The dense path restricts the pencil (W diag(m), K) to V_m by a rank-2
+update of each matrix with the Householder reflector that maps W m onto
+the first axis; no basis matrix is formed and only the lower triangles
+are valid.  It is the oracle of record up to ``DENSE_CELL_LIMIT`` cells.
+The iterative path uses that the orthonormal DCT-II diagonalizes K
 exactly on these uniform grids, K = C^T Lambda C.  With q = W m and
 P = I - 1 q^T / int m, which maps the non-constant fields onto V_m without
 changing their energy, the Rayleigh quotient on V_m becomes the symmetric
@@ -241,42 +243,40 @@ def solution_operator(m: WeightField, f) -> np.ndarray:
     return np.ldexp(project_mean_zero(m, u), exp)
 
 
-def _vm_basis(m: WeightField) -> np.ndarray:
-    """Orthonormal basis of {f : (Wm)^T f = 0} from a Householder reflector.
-
-    Deterministic: columns 2..n of the reflector that maps Wm onto the
-    first coordinate axis.
-    """
-    q = _weighted_values(m)
-    n = q.size
-    norm = np.sqrt(_dot(q, q))
-    if norm == 0.0:
-        raise ZeroWeightIntegral("weight is identically zero")
-    v = q.copy()
-    v[0] += norm if q[0] >= 0 else -norm
-    B = (-2.0 / _dot(v, v)) * np.outer(v, v[1:])
-    B[1:, :] += np.eye(n - 1)
-    return B
-
-
 def _dense_pencil(m: WeightField):
-    """The pencil (W diag(m), K) restricted to V_m, in the basis B.
+    """The pencil (W diag(m), K) restricted to V_m by a Householder reflector.
 
-    Returns (A, S, B): an eigenvector y of A y = mu S y is the cell field
-    B y.
+    H = I - beta v v^T maps q = W m (nonzero: callers reject int m = 0)
+    onto the first axis, so its last n - 1 columns span V_m.  For a
+    symmetric X, x = X v and z = beta x - beta^2 (v^T x) v / 2,
+    (H X H)[1:, 1:] = X[1:, 1:] - v1 z1^T - z1 v1^T (v1, z1 without their
+    first entry), a rank-2 update done in place by ``dsyr2`` on the lower
+    triangle, which ``eigh`` reads; the upper triangles of A and S are
+    stale.  Returns (A, S, lift): an eigenvector y of A y = mu S y is the
+    cell field lift(y) = H [0; y].
     """
     n = m.grid.n_cells
     if n > DENSE_CELL_LIMIT:
         raise TooLarge(
             f"{n} cells exceeds the dense limit of {DENSE_CELL_LIMIT}")
     K = assemble_stiffness(m.grid)
-    B = _vm_basis(m)
-    d = _weighted_values(m)
-    A = B.T @ (d[:, None] * B)
-    S = B.T @ (K @ B)
-    A = 0.5 * (A + A.T)
-    S = 0.5 * (S + S.T)
-    return A, S, B
+    q = _weighted_values(m)
+    v = q.copy()
+    norm = np.sqrt(_dot(q, q))
+    v[0] += norm if q[0] >= 0 else -norm
+    beta = 2.0 / _dot(v, v)
+
+    def restrict(X, x):
+        z = beta * x - (0.5 * beta * beta * _dot(v, x)) * v
+        # the Fortran view X.T holds X's lower triangle as its upper one
+        return scipy.linalg.blas.dsyr2(-1.0, v[1:], z[1:], lower=0, a=X.T,
+                                       overwrite_a=1).T
+
+    def lift(y):
+        return np.concatenate(([0.0], y)) - (beta * _dot(v[1:], y)) * v
+
+    return (restrict(np.diag(q[1:]), q * v),
+            restrict(K[1:, 1:].toarray(), K @ v), lift)
 
 
 def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
@@ -453,13 +453,13 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
 def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
     """``principal_eigenpair`` of a weight with max|m| in [1/2, 1)."""
     if solver == "dense":
-        A, S, B = _dense_pencil(m)
+        A, S, lift = _dense_pencil(m)
         top = A.shape[0] - 1
         vals, vecs = scipy.linalg.eigh(A, S, subset_by_index=[top, top])
         mu1 = float(vals[0])
         if mu1 <= 0:  # pragma: no cover - admissible weights have mu1 > 0
             raise NoPositivePart("pencil has no positive eigenvalue")
-        return _finalize_eigenpair(m, mu1, B @ vecs[:, 0],
+        return _finalize_eigenpair(m, mu1, lift(vecs[:, 0]),
                                    SolveStats("dense"))
     if solver == "iterative":
         return _dct_iteration(m, tol)

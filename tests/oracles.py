@@ -2,12 +2,13 @@
 
 These deliberately avoid the library's discretization: the arrangement
 oracle enumerates permutations, the stripe oracle searches every stripe
-for every cell, and the restart oracle runs every restart to its end,
-solving every iterate afresh.  The eigenvalue oracle
-``two_phase_lambda1`` (the closed form of the 1D two-phase problem) and
-``random_admissible`` (the admissible-weight generator) live in
-``eigenweight.verify``, whose acceptance checks use them, and are
-re-exported here.
+for every cell, the restart oracle runs every restart to its end,
+solving every iterate afresh, and the pencil oracle restricts the dense
+pencil through an explicit n x (n - 1) basis by two GEMMs.  The
+eigenvalue oracle ``two_phase_lambda1`` (the closed form of the 1D
+two-phase problem) and ``random_admissible`` (the admissible-weight
+generator) live in ``eigenweight.verify``, whose acceptance checks use
+them, and are re-exported here.
 """
 
 import hashlib
@@ -15,7 +16,12 @@ from itertools import permutations
 
 import numpy as np
 
-from eigenweight import comonotone_arrangement, principal_eigenpair, weight_field
+from eigenweight import (
+    assemble_stiffness,
+    comonotone_arrangement,
+    principal_eigenpair,
+    weight_field,
+)
 from eigenweight.optimize import _start_fields
 from eigenweight.verify import random_admissible_values as random_admissible
 from eigenweight.verify import two_phase_lambda1
@@ -25,6 +31,28 @@ def best_arrangement_value(values, u, w) -> float:
     """Brute-force max of sum(w * arrangement * u) over all permutations."""
     return max(float(np.dot(w * np.asarray(perm), u))
                for perm in permutations(values))
+
+
+def vm_basis(q):
+    """Orthonormal basis of {f : q^T f = 0}: columns 2..n of the Householder
+    reflector that maps q onto the first coordinate axis."""
+    n = q.size
+    norm = np.sqrt(np.dot(q, q))
+    v = q.copy()
+    v[0] += norm if q[0] >= 0 else -norm
+    B = (-2.0 / np.dot(v, v)) * np.outer(v, v[1:])
+    B[1:, :] += np.eye(n - 1)
+    return B
+
+
+def gemm_pencil(m):
+    """The pencil (W diag(m), K) restricted to V_m through the basis B:
+    (B^T diag(W m) B, B^T K B, B), symmetrized."""
+    q = m.grid.cell_measure * m.values
+    B = vm_basis(q)
+    A = B.T @ (q[:, None] * B)
+    S = B.T @ (assemble_stiffness(m.grid) @ B)
+    return 0.5 * (A + A.T), 0.5 * (S + S.T), B
 
 
 def oscillating_layout(values, counts, n1: int, n_cells: int, k: int):

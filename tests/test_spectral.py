@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ import eigenweight
 from eigenweight import spectral
 from eigenweight.grid import dct_eigenvalues, to_dct
 from eigenweight.spectral import SOLVERS
-from oracles import random_admissible, two_phase_lambda1
+from oracles import gemm_pencil, random_admissible, two_phase_lambda1
 
 #: (kind, extents, shape) of anisotropic grids with odd cell counts
 ODD_GRIDS = [
@@ -277,6 +278,50 @@ class TestPrincipalEigenpair:
         assert m.integral > 0
         with pytest.raises(NotAdmissible):
             mu1_extended(m)
+
+
+def assert_pencil_matches_oracle(m, seed):
+    A, S, lift = spectral._dense_pencil(m)
+    A0, S0, B = gemm_pencil(m)
+    # only the lower triangles of A and S are valid
+    for X, X0 in ((A, A0), (S, S0)):
+        assert np.abs(np.tril(X - X0)).max() <= 1e-13 * np.abs(X0).max()
+    y = np.random.default_rng(seed).standard_normal(m.grid.n_cells - 1)
+    assert np.abs(lift(y) - B @ y).max() <= 1e-13 * np.abs(B @ y).max()
+    q = m.grid.cell_measure * m.values
+    assert np.abs(B.T @ B - np.eye(B.shape[1])).max() <= 1e-13
+    assert np.abs(B.T @ q).max() <= 1e-13 * np.abs(q).max()
+
+
+class TestDensePencil:
+    @settings(max_examples=40, deadline=None)
+    @given(shape=SMALL_SHAPES, extents=EXTENTS,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rank2_update_matches_gemm_oracle(self, shape, extents, seed):
+        grid = drawn_grid(shape, extents)
+        vals = random_admissible(np.random.default_rng(seed), grid.n_cells)
+        assert_pencil_matches_oracle(weights(grid, vals), seed)
+
+    def test_rank2_update_matches_gemm_oracle_1024_cells(self, rng):
+        grid = build_grid("interval", [1.0], [1024])
+        assert_pencil_matches_oracle(
+            weights(grid, random_admissible(rng, 1024)), 1024)
+
+    def test_pencil_built_in_place(self):
+        # A and S take 8 (n-1)^2 bytes each; a pencil built through a basis
+        # matrix peaks near 4 x 8 n^2, and a dsyr2 that copies its matrix
+        # (a C-ordered argument) near 3
+        grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
+        n = grid.n_cells
+        m = rough_bang_bang(grid, 0)
+        assemble_stiffness(grid)
+        tracemalloc.start()
+        try:
+            spectral._dense_pencil(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * n * n
 
 
 class TestDctKernel:
