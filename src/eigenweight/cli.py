@@ -117,6 +117,10 @@ def _number(value, key: str) -> float:
     except (TypeError, ValueError) as exc:
         raise errors.ValidationError(
             f"{key} must be a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer literal beyond float range
+        raise errors.ValidationError(
+            f"{key} must be a number in float range, got a "
+            f"{value.bit_length()}-bit integer") from exc
 
 
 def _integer(value, key: str, minimum: int) -> int:
@@ -304,6 +308,8 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise errors.ParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise errors.ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise errors.ParseError("config root must be an object")
     version = _require(doc, "version", "config")

@@ -15,10 +15,16 @@ supports random restarts from seeded permutations.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import NotAdmissibleClass, IndivisibleStripes
 from .grid import Grid, as_field
@@ -50,7 +56,8 @@ class OptimizationResult:
 
     ``trace`` lists (iteration, mu1, lambda1, changed_cells) for the best
     restart; mu1 is nondecreasing along it.  ``solves`` counts the
-    distinct eigensolves of the whole call, every restart included.
+    distinct arrangements solved in the whole call, every restart
+    included.
     ``comonotone_violations`` counts cell pairs ordered against the final
     eigenfunction (zero at a true fixed point) and ``monotone_x1``
     summarizes the final weight's monotonicity along the first axis.
@@ -105,48 +112,32 @@ def count_comonotone_violations(m, u, grid: Grid) -> int:
     return total
 
 
-def _start_fields(cls: RearrangementClass, grid: Grid, restarts: int,
-                  seed) -> list:
+def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
+                 seed) -> np.ndarray:
     """Restart 0 is the canonical arrangement (sorted values in flat cell
-    order); later restarts are seeded permutations from a splittable
-    generator."""
+    order); restart i > 0 is a permutation drawn from child i - 1 of the
+    seed's splittable generator, made only when the restart runs."""
     canonical = cls.cell_values(grid)
-    starts = [canonical]
-    if restarts > 1:
-        children = np.random.SeedSequence(seed).spawn(restarts - 1)
-        for child in children:
-            rng = np.random.default_rng(child)
-            starts.append(rng.permutation(canonical))
-    return starts
+    if restart == 0:
+        return canonical
+    child = np.random.SeedSequence(seed, spawn_key=(restart - 1,))
+    return np.random.default_rng(child).permutation(canonical)
 
 
-def minimize_lambda1(cls: RearrangementClass, grid: Grid,
-                     max_iters: int = 200, tol: float = 1e-12,
-                     restarts: int = 1, seed: int = 0,
-                     solver: str = "dense") -> OptimizationResult:
-    """Minimize lambda1 over the rearrangement class by fixed-point sweeps.
+def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
+                  max_iters: int, tol: float, solver: str,
+                  solved: dict | None = None) -> tuple[list, set]:
+    """The fixed-point sweeps of the listed restarts, one after another.
 
-    Each sweep replaces the weight by the class arrangement comonotone
-    with the current eigenfunction; the subgradient inequality makes mu1
-    nondecreasing, and the run stops when the arrangement repeats itself
-    exactly.  Across restarts the iterate with the largest mu1 (smallest
-    lambda1) wins, ties resolved toward the earlier restart.  Hitting
-    ``max_iters`` is reported through ``converged=False``, not an error.
-
-    Solves are deterministic, so each distinct arrangement is solved
-    once per call: a restart that reaches an arrangement seen before
-    reuses its eigenpair and follows the earlier path with sweeps alone.
+    Returns one (mu1, m, pair, trace, converged) per restart, in the order
+    given, and the sha256 digests of the arrangements solved.  ``solved``
+    maps digests to eigenpairs; a restart that reaches an arrangement in
+    it reuses the pair and follows the earlier path with sweeps alone.
     """
-    if not cls.is_admissible:
-        raise NotAdmissibleClass(
-            "class needs a positive value and negative total integral")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-
-    best = None
-    solved = {}  # sha256 of an arrangement -> its eigenpair
-    for m0 in _start_fields(cls, grid, restarts, seed):
-        m = m0
+    solved = {} if solved is None else solved
+    runs = []
+    for restart in restarts:
+        m = _start_field(cls, grid, restart, seed)
         trace = []
         changed = 0
         converged = False
@@ -166,9 +157,160 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
                 trace.append((it + 1, pair.mu1, pair.lambda1, 0))
                 break
             m = m_next
-        candidate = (pair.mu1, m, pair, tuple(trace), converged)
-        if best is None or candidate[0] > best[0]:
-            best = candidate
+        runs.append((pair.mu1, m, pair, tuple(trace), converged))
+    return runs, set(solved)
+
+
+#: OpenBLAS thread-count entry points, newest naming first
+_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                   "scipy_openblas_{}_num_threads",
+                   "openblas_{}_num_threads64_",
+                   "openblas_{}_num_threads")
+
+
+@cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS build bundled
+    with scipy and numpy; empty where neither bundles one."""
+    controls = []
+    for package in (scipy, np):
+        libs = Path(package.__file__).resolve().parent.parent
+        for lib in sorted(libs.glob(f"{package.__name__}.libs/*openblas*")):
+            try:
+                handle = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for symbol in _THREAD_SYMBOLS:
+                get = getattr(handle, symbol.format("get"), None)
+                set_ = getattr(handle, symbol.format("set"), None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    set_.argtypes, set_.restype = (ctypes.c_int,), None
+                    controls.append((get, set_))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Every bundled OpenBLAS at one thread inside, as before outside.
+
+    Processes forked inside inherit the count.  Setting it in a child
+    instead makes OpenBLAS re-create its helper threads there, as many as
+    it was loaded with, and they spin against the other workers before
+    they sleep: loaded at two threads on two CPUs, that made 8 forked
+    restarts on 64x32 about an eighth slower.
+    """
+    controls = _blas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, counts):
+            set_(count)
+
+
+#: the eigenpairs one worker process has solved, shared by its restarts
+_worker_solved: dict = {}
+
+
+def _start_worker() -> None:
+    """Pool initializer: an empty memo."""
+    global _worker_solved
+    _worker_solved = {}
+
+
+def _worker_restarts(*args) -> tuple[list, set]:
+    """``_run_restarts`` in a worker process, on the worker's memo."""
+    return _run_restarts(*args, solved=_worker_solved)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parallel_runs(workers: int, restarts: int, args: tuple):
+    """Every restart as its own task in ``workers`` forked processes, or
+    None when no such pool can run.
+
+    Each worker keeps one memo across the restarts it takes, so an
+    arrangement may be solved once per worker.  Errors raised by a
+    restart propagate unchanged.  Workers are forked, not spawned: a
+    spawned worker imports numpy and scipy afresh, which takes longer
+    than a restart, and the executor forks its workers before it starts
+    its own thread.
+    """
+    # imported here: a run that never forks loads neither (half a MB)
+    import multiprocessing
+    from concurrent.futures.process import (BrokenProcessPool,
+                                            ProcessPoolExecutor)
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+    pool = ProcessPoolExecutor(workers, mp_context=context,
+                               initializer=_start_worker)
+    try:
+        tasks = [pool.submit(_worker_restarts, [restart], *args)
+                 for restart in range(restarts)]
+        return [task.result() for task in tasks]
+    except (OSError, BrokenProcessPool):
+        return None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def minimize_lambda1(cls: RearrangementClass, grid: Grid,
+                     max_iters: int = 200, tol: float = 1e-12,
+                     restarts: int = 1, seed: int = 0,
+                     solver: str = "dense") -> OptimizationResult:
+    """Minimize lambda1 over the rearrangement class by fixed-point sweeps.
+
+    Each sweep replaces the weight by the class arrangement comonotone
+    with the current eigenfunction; the subgradient inequality makes mu1
+    nondecreasing, and the run stops when the arrangement repeats itself
+    exactly.  Across restarts the iterate with the largest mu1 (smallest
+    lambda1) wins, ties resolved toward the earlier restart.  Hitting
+    ``max_iters`` is reported through ``converged=False``, not an error.
+
+    Restarts are independent until they are compared, so they run in
+    min(restarts, usable CPUs) forked worker processes, or inline when
+    that is one or no process pool can start; either way several
+    restarts solve at one BLAS thread.
+    Solves are deterministic at a fixed BLAS thread count, so no outcome
+    depends on which worker ran a restart, and each distinct arrangement
+    is solved once per worker: a restart that reaches an arrangement its
+    worker has seen reuses the eigenpair and follows the earlier path
+    with sweeps alone.
+    """
+    if not cls.is_admissible:
+        raise NotAdmissibleClass(
+            "class needs a positive value and negative total integral")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+
+    args = (cls, grid, seed, max_iters, tol, solver)
+    workers = min(restarts, _usable_cpus())
+    # one BLAS thread wherever the restarts run, so the CPU count cannot
+    # change the bytes
+    with _one_blas_thread() if restarts > 1 else nullcontext():
+        parts = _parallel_runs(workers, restarts, args) if workers > 1 \
+            else None
+        if parts is None:
+            parts = [_run_restarts(range(restarts), *args)]
+    best = None
+    digests = set()
+    for runs, seen in parts:  # restart order
+        digests |= seen
+        for run in runs:
+            if best is None or run[0] > best[0]:
+                best = run
 
     _, m, pair, trace, converged = best
     return OptimizationResult(
@@ -177,7 +319,7 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
         trace=trace,
         converged=converged,
         restarts_used=restarts,
-        solves=len(solved),
+        solves=len(digests),
         comonotone_violations=count_comonotone_violations(m, pair.u, grid),
         monotone_x1=check_monotone_x1(m, grid),
     )

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's discretization: the arrangement
 oracle enumerates permutations, the stripe oracle searches every stripe
-for every cell, the restart oracle runs every restart to its end,
-solving every iterate afresh, and the pencil oracle restricts the dense
-pencil through an explicit n x (n - 1) basis by two GEMMs.  The
+for every cell, the restart oracle draws every start field up front
+from ``SeedSequence.spawn`` and runs every restart to its end in one
+process, solving every iterate afresh, and the pencil oracle restricts
+the dense pencil through an explicit n x (n - 1) basis by two GEMMs.  The
 eigenvalue oracle ``two_phase_lambda1`` (the closed form of the 1D
 two-phase problem) and ``random_admissible`` (the admissible-weight
 generator) live in ``eigenweight.verify``, whose acceptance checks use
@@ -22,7 +23,6 @@ from eigenweight import (
     principal_eigenpair,
     weight_field,
 )
-from eigenweight.optimize import _start_fields
 from eigenweight.verify import random_admissible_values as random_admissible
 from eigenweight.verify import two_phase_lambda1
 
@@ -84,6 +84,16 @@ def oscillating_layout(values, counts, n1: int, n_cells: int, k: int):
     return out, hit_full
 
 
+def spawned_start_fields(cls, grid, restarts, seed) -> list:
+    """Every restart's start field, drawn before the first solve: the
+    canonical arrangement, then one permutation per spawned child."""
+    canonical = cls.cell_values(grid)
+    starts = [canonical]
+    for child in np.random.SeedSequence(seed).spawn(restarts - 1):
+        starts.append(np.random.default_rng(child).permutation(canonical))
+    return starts
+
+
 def restart_loop(cls, grid, max_iters, tol, restarts, seed, solver):
     """Every restart's fixed-point sweeps run to the end, every iterate
     solved afresh.
@@ -100,7 +110,7 @@ def restart_loop(cls, grid, max_iters, tol, restarts, seed, solver):
         return principal_eigenpair(weight_field(grid, m), solver=solver,
                                    tol=tol)
 
-    for m0 in _start_fields(cls, grid, restarts, seed):
+    for m0 in spawned_start_fields(cls, grid, restarts, seed):
         m = m0
         pair = solve(m)
         trace = [(0, pair.mu1, pair.lambda1, 0)]

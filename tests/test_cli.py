@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import warnings
 
 import numpy as np
@@ -355,6 +356,56 @@ class TestMainExitCodes:
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 3
         assert f"weight.{key} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,section,key", [
+        ("solve", "weight", "values"),
+        ("solve", "weight", "positive_value"),
+        ("simulate", "simulate", "gamma"),
+        ("solve", "solve", "tol"),
+    ])
+    def test_integer_beyond_float_range_exit_3(self, tmp_path, capsys,
+                                               command, section, key):
+        doc = json.loads(config_text())
+        huge = 10 ** 400
+        if key == "values":
+            doc["weight"] = {"kind": "explicit",
+                             "values": [huge] + [-2.0] * 63}
+        else:
+            doc.setdefault(section, {})[key] = huge
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"validation error: {section}.{key} must be a number in float "
+            f"range, got a 1329-bit integer")
+
+    def test_integer_past_digit_limit_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "digits.json"
+        cfg.write_text(config_text().replace(
+            '"positive_value": 1.0', '"positive_value": 1' + "0" * 5000))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "digits" in capsys.readouterr().err
+
+    def test_solver_error_in_worker_exit_4(self, tmp_path, capsys,
+                                           monkeypatch):
+        parent = os.getpid()
+
+        def fails_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise errors.SingularSystem("raised in a worker")
+            return principal_eigenpair(*args, **kwargs)
+
+        monkeypatch.setattr("eigenweight.optimize._usable_cpus", lambda: 2)
+        monkeypatch.setattr("eigenweight.optimize.principal_eigenpair",
+                            fails_in_worker)
+        cfg = tmp_path / "optimize.json"
+        cfg.write_text(config_text())
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == \
+            "solver error: raised in a worker\n"
 
     @pytest.mark.parametrize("key", ["v0", "v0[1]", "gamma", "dt", "t_end"])
     def test_non_numeric_simulate_input_exit_3(self, tmp_path, capsys, key):

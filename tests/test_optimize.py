@@ -1,4 +1,6 @@
 import itertools
+import multiprocessing.context
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +21,18 @@ from eigenweight import (
     principal_eigenpair,
     weight_field,
 )
-from oracles import oscillating_layout, restart_loop, two_phase_lambda1
+from eigenweight.optimize import (
+    _blas_thread_controls,
+    _one_blas_thread,
+    _parallel_runs,
+    _start_field,
+)
+from oracles import (
+    oscillating_layout,
+    restart_loop,
+    spawned_start_fields,
+    two_phase_lambda1,
+)
 
 
 def bang_bang_class(grid, n_pos, pos=1.0, neg=-2.0):
@@ -217,6 +230,8 @@ class TestMinimize:
             return principal_eigenpair(*args, **kwargs)
 
         with monkeypatch.context() as patch:
+            # one worker: every solve is counted in this process
+            patch.setattr("eigenweight.optimize._usable_cpus", lambda: 1)
             patch.setattr("eigenweight.optimize.principal_eigenpair", counted)
             result = minimize_lambda1(cls, grid, max_iters=max_iters,
                                       restarts=8, seed=0, solver=solver)
@@ -236,6 +251,159 @@ class TestMinimize:
         assert not result.converged
         assert len(result.trace) == 1
         assert equimeasurable(result.final_m, values, grid)
+
+
+def _optimize_on(monkeypatch, cpus, *args, **kwargs):
+    """minimize_lambda1 as if ``cpus`` CPUs were usable."""
+    with monkeypatch.context() as patch:
+        patch.setattr("eigenweight.optimize._usable_cpus", lambda: cpus)
+        return minimize_lambda1(*args, **kwargs)
+
+
+def _openblas_thread_counts() -> list:
+    return [get() for get, _ in _blas_thread_controls()]
+
+
+class TestParallelRestarts:
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("restarts", [2, 8])
+    def test_lazy_start_field_is_the_spawned_draw(self, seed, restarts):
+        grid = build_grid("rectangle", [2.0, 1.0], [8, 4])
+        cls, _ = bang_bang_class(grid, 8)
+        spawned = spawned_start_fields(cls, grid, restarts, seed)
+        for restart, expected in enumerate(spawned):
+            assert _start_field(cls, grid, restart, seed).tobytes() \
+                == expected.tobytes()
+
+    @pytest.mark.parametrize("shape,solver,max_iters", [
+        ([32], "dense", 200),
+        ([32], "iterative", 3),
+        ([12, 6], "dense", 200),
+        ([16, 8], "iterative", 200),
+        ([16, 8], "dense", 6),
+    ])
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_workers_match_inline(self, monkeypatch, shape, solver,
+                                  max_iters, seed):
+        grid = build_grid(("interval", "rectangle")[len(shape) - 1],
+                          [2.0, 1.0][:len(shape)], shape)
+        cls, _ = bang_bang_class(grid, grid.n_cells // 4)
+        args = (cls, grid)
+        kwargs = dict(max_iters=max_iters, restarts=6, seed=seed,
+                      solver=solver)
+        inline = _optimize_on(monkeypatch, 1, *args, **kwargs)
+        pooled = _optimize_on(monkeypatch, 3, *args, **kwargs)
+        assert pooled.final_m.tobytes() == inline.final_m.tobytes()
+        assert pooled.final_pair.u.tobytes() == inline.final_pair.u.tobytes()
+        assert repr(pooled.final_pair.lambda1) \
+            == repr(inline.final_pair.lambda1)
+        assert pooled.trace == inline.trace
+        assert pooled.solves == inline.solves
+        assert pooled.converged == inline.converged
+
+    @pytest.mark.parametrize("cpus,restarts,started", [
+        (1, 8, 0), (3, 8, 3), (3, 2, 2), (8, 1, 0)])
+    def test_starts_at_most_one_process_per_cpu_and_restart(
+            self, monkeypatch, cpus, restarts, started):
+        grid = build_grid("interval", [1.0], [32])
+        cls, _ = bang_bang_class(grid, 8)
+        starts = []
+        fork_start = multiprocessing.context.ForkProcess.start
+
+        def counted(process):
+            starts.append(None)
+            return fork_start(process)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            counted)
+        _optimize_on(monkeypatch, cpus, cls, grid, restarts=restarts)
+        assert len(starts) == started
+
+    def test_workers_inherit_one_blas_thread(self, monkeypatch):
+        controls = _blas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy bundle no OpenBLAS")
+
+        def report(*args, solved):
+            a = np.ones((256, 256))
+            a @ a  # a threaded BLAS call at more than one thread
+            threads = (len(os.listdir("/proc/self/task"))
+                       if os.path.isdir("/proc/self/task") else 1)
+            return [(_openblas_thread_counts(), threads)], set()
+
+        before = _openblas_thread_counts()
+        for _, set_ in controls:
+            set_(2)
+        try:
+            monkeypatch.setattr("eigenweight.optimize._run_restarts", report)
+            with _one_blas_thread():
+                parts = _parallel_runs(2, 3, ())
+            assert _openblas_thread_counts() == [2] * len(controls)
+        finally:
+            for (_, set_), count in zip(controls, before):
+                set_(count)
+        # one BLAS thread, and no OpenBLAS helper thread in the worker
+        assert parts == [([([1] * len(controls), 1)], set())] * 3
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_inline_restarts_solve_at_one_blas_thread(self, monkeypatch,
+                                                      restarts):
+        controls = _blas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy bundle no OpenBLAS")
+        grid = build_grid("interval", [1.0], [32])
+        cls, _ = bang_bang_class(grid, 8)
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(tuple(_openblas_thread_counts()))
+            return principal_eigenpair(*args, **kwargs)
+
+        monkeypatch.setattr("eigenweight.optimize.principal_eigenpair",
+                            counted)
+        before = _openblas_thread_counts()
+        for _, set_ in controls:
+            set_(2)
+        try:
+            _optimize_on(monkeypatch, 1, cls, grid, restarts=restarts)
+            after = _openblas_thread_counts()
+        finally:
+            for (_, set_), count in zip(controls, before):
+                set_(count)
+        # a single restart keeps the process's count
+        assert set(seen) == {(1 if restarts > 1 else 2,) * len(controls)}
+        assert after == [2] * len(controls)
+
+    def test_falls_back_inline_without_fork(self, monkeypatch):
+        grid = build_grid("interval", [1.0], [32])
+        cls, _ = bang_bang_class(grid, 8)
+        inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=4, seed=2)
+
+        def no_fork(method):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        result = _optimize_on(monkeypatch, 4, cls, grid, restarts=4, seed=2)
+        assert result.final_m.tobytes() == inline.final_m.tobytes()
+        assert result.trace == inline.trace
+
+    def test_falls_back_inline_when_a_worker_dies(self, monkeypatch):
+        grid = build_grid("interval", [1.0], [32])
+        cls, _ = bang_bang_class(grid, 8)
+        inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=4, seed=2)
+        parent = os.getpid()
+
+        def dies_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return principal_eigenpair(*args, **kwargs)
+
+        monkeypatch.setattr("eigenweight.optimize.principal_eigenpair",
+                            dies_in_worker)
+        result = _optimize_on(monkeypatch, 2, cls, grid, restarts=4, seed=2)
+        assert result.final_m.tobytes() == inline.final_m.tobytes()
+        assert result.trace == inline.trace
+        assert result.solves == inline.solves
 
 
 class TestOscillating:
