@@ -161,10 +161,27 @@ def _flag(value, key: str) -> bool:
     return value
 
 
+def _numbers(values: list, key: str) -> np.ndarray:
+    """The list as a float array, or a ValidationError naming the config
+    key at the first entry that is not a number.
+
+    A list of plain ints and floats converts in one numpy call; any other
+    list, or one numpy rejects, goes entry by entry through ``_number``,
+    so the error is the one that entry gives on its own (numpy would turn
+    a null into NaN).
+    """
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return np.array(values, dtype=float)
+        except (OverflowError, ValueError, TypeError):
+            pass
+    return np.array([_number(v, key) for v in values], dtype=float)
+
+
 def _v0(value, key: str):
-    """One initial density for every cell, or a list with one per cell."""
+    """One initial density for every cell, or an array with one per cell."""
     if isinstance(value, list):
-        return [_number(v, key) for v in value]
+        return _numbers(value, key)
     return _number(value, key)
 
 
@@ -272,8 +289,8 @@ def _weight_values(weight, grid: Grid) -> np.ndarray:
                 f"over {grid.n_cells} cells)")
         return values
     if kind == "explicit":
-        values = np.array([_number(v, "weight.values") for v in _list(
-            _require(weight, "values", "weight"), "weight.values")])
+        values = _numbers(_list(_require(weight, "values", "weight"),
+                                "weight.values"), "weight.values")
         if not np.isfinite(values).all():
             raise errors.ValidationError(
                 "explicit weight values must be finite")
@@ -386,7 +403,7 @@ def _cmd_simulate(config: RunConfig, out: Path) -> int:
     grid = config.grid
     m = weight_field(grid, config.values)
     opts = config.simulate
-    v0 = np.array(opts["v0"]) if isinstance(opts["v0"], list) \
+    v0 = opts["v0"] if isinstance(opts["v0"], np.ndarray) \
         else np.full(grid.n_cells, opts["v0"])
     traj = simulate_logistic(m, gamma=opts["gamma"], v0=v0, dt=opts["dt"],
                              t_end=opts["t_end"])
@@ -396,6 +413,8 @@ def _cmd_simulate(config: RunConfig, out: Path) -> int:
         "outcome": traj.outcome,
         "final_mass": float(traj.total_mass[-1]),
         "clamp_events": traj.clamp_events,
+        "substeps": traj.substeps,
+        "distinct_substep_lengths": traj.distinct_substep_lengths,
     })
     return EXIT_OK
 

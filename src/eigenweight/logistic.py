@@ -41,7 +41,9 @@ class Trajectory:
     persistent, extinct or undecided per the thresholds above.
     ``clamp_events`` counts entries pushed below CLAMP_TOL by the solver
     (zero in healthy runs) and ``min_pre_clamp`` is the most negative
-    value ever seen before clamping.
+    value ever seen before clamping.  ``substeps`` counts the substeps of
+    all macro steps and ``distinct_substep_lengths`` the distinct values
+    of the substep length among them.
     """
 
     times: np.ndarray
@@ -52,12 +54,20 @@ class Trajectory:
     final_v: np.ndarray
     clamp_events: int
     min_pre_clamp: float
+    substeps: int
+    distinct_substep_lengths: int
 
 
-def _implicit_diffusion(grid: Grid, dt: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (W/dt + K) v = rhs; W is the cell measure."""
-    return from_dct(grid, to_dct(grid, rhs)
-                    / (grid.cell_measure / dt + dct_eigenvalues(grid)))
+def _diffusion_symbol(grid: Grid, dt: float) -> np.ndarray:
+    """W/dt + K in the DCT basis, where it is diagonal; W is the cell
+    measure."""
+    return grid.cell_measure / dt + dct_eigenvalues(grid)
+
+
+def _implicit_diffusion(grid: Grid, symbol: np.ndarray,
+                        rhs: np.ndarray) -> np.ndarray:
+    """Solve (W/dt + K) v = rhs, given ``_diffusion_symbol(grid, dt)``."""
+    return from_dct(grid, to_dct(grid, rhs) / symbol)
 
 
 def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
@@ -69,7 +79,8 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     bounds the explicit reaction and keeps the implicit diffusion solve
     nonnegative; UnstableStep is raised if the guard needs more than
     10^6 substeps, and InvalidSpec if the initial mass, max|m| + 2 max v0
-    or a substep's right-hand side overflows.
+    or a substep's right-hand side overflows.  The diffusion symbol
+    W/dt_sub + K is computed again only when dt_sub changes.
     """
     grid = m.grid
     v = as_field(grid, v0).copy()
@@ -101,6 +112,9 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     max_v = [float(v.max())]
     clamp_events = 0
     min_pre_clamp = 0.0
+    substeps_taken = 0
+    lengths = set()
+    symbol_dt, symbol = None, None
 
     t = 0.0
     for step in range(n_steps):
@@ -114,6 +128,10 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
                 f"more than {_MAX_SUBSTEPS}")
         n_sub = int(substeps) + 1
         dt_sub = step_dt / n_sub
+        substeps_taken += n_sub
+        lengths.add(dt_sub)
+        if dt_sub != symbol_dt:
+            symbol_dt, symbol = dt_sub, _diffusion_symbol(grid, dt_sub)
         for _ in range(n_sub):
             try:  # not checked up front: a short last step shrinks dt_sub
                 with np.errstate(over="raise"):
@@ -121,7 +139,7 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
             except FloatingPointError as exc:
                 raise InvalidSpec(f"initial density overflows v / dt_sub at "
                                   f"substep length {dt_sub:g}") from exc
-            v = _implicit_diffusion(grid, dt_sub, rhs)
+            v = _implicit_diffusion(grid, symbol, rhs)
             low = float(v.min())
             if low < 0.0:
                 min_pre_clamp = min(min_pre_clamp, low)
@@ -146,6 +164,8 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
         final_v=v,
         clamp_events=clamp_events,
         min_pre_clamp=min_pre_clamp,
+        substeps=substeps_taken,
+        distinct_substep_lengths=len(lengths),
     )
 
 

@@ -2,13 +2,17 @@
 
 Field CSVs carry a header comment with the grid layout and one row per
 first-axis line, so 2D files open directly as heatmap matrices.  Floats
-are written with ``repr`` for exact round-trips.
+are written with ``repr`` of the Python float for exact round-trips.  One
+row formatter, ``_csv_rows``, writes the rows of every field and
+trajectory CSV, so each file has the bytes a per-value ``repr(float(v))``
+would give, whichever way the formatter converts the array.
 """
 
 from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from itertools import zip_longest
 
 import numpy as np
 
@@ -19,6 +23,31 @@ from .optimize import OptimizationResult
 from .rearrange import RearrangementClass
 from .spectral import EigenPair, SignedSpectrum
 
+#: an array with at most this share of distinct values is written from a
+#: table that formats each distinct value once
+TABLE_SHARE = 1 / 8
+
+
+def _csv_rows(array: np.ndarray):
+    """One comma-separated, newline-terminated text row per row of a 2-D
+    float array, each entry written as ``repr`` of the Python float.
+
+    Weights, minimizers and stripe fields hold a handful of values, and
+    for them each distinct value is formatted once.  Distinct values are
+    told apart by their bit patterns, so 0.0 and -0.0 keep their own text.
+    """
+    array = np.ascontiguousarray(array, dtype=float)
+    bits, inverse = np.unique(array.ravel().view(np.uint64),
+                              return_inverse=True)
+    if bits.size > TABLE_SHARE * array.size:
+        for row in array:
+            yield ",".join(map(repr, row.tolist())) + "\n"
+        return
+    table = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    for row in table[inverse.reshape(array.shape)]:
+        yield ",".join(row.tolist()) + "\n"
+
 
 def write_field_csv(path, values: np.ndarray, grid: Grid) -> None:
     """Write a cell field, one row per first-axis line."""
@@ -27,8 +56,7 @@ def write_field_csv(path, values: np.ndarray, grid: Grid) -> None:
     extents = ",".join(repr(float(L)) for L in grid.extents)
     with open(path, "w") as fh:
         fh.write(f"# dim={grid.dim} shape={shape} extents={extents}\n")
-        for line in lines:
-            fh.write(",".join(repr(float(v)) for v in line) + "\n")
+        fh.writelines(_csv_rows(lines))
 
 
 def read_field_csv(path):
@@ -85,29 +113,26 @@ def read_profile_csv(path):
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     with open(path, "w") as fh:
         fh.write("time,total_mass,min_v,max_v\n")
-        for row in zip(traj.times, traj.total_mass, traj.min_v, traj.max_v):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.writelines(_csv_rows(np.column_stack(
+            (traj.times, traj.total_mass, traj.min_v, traj.max_v))))
 
 
 def write_stiffness_coo(path, entries) -> None:
     """Debug dump: one 'row col value' triple per stored entry."""
     coo = entries.tocoo()
     with open(path, "w") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{int(i)} {int(j)} {float(v)!r}\n")
+        fh.writelines(f"{i} {j} {v!r}\n" for i, j, v in zip(
+            coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
 
 
 def write_spectrum_csv(path, spectrum: SignedSpectrum) -> None:
     """Positive/negative eigenvalue lists side by side, blank when absent."""
     with open(path, "w") as fh:
         fh.write("k,mu_positive,mu_negative\n")
-        rows = max(len(spectrum.positive), len(spectrum.negative))
-        for k in range(rows):
-            pos = repr(float(spectrum.positive[k])) \
-                if k < len(spectrum.positive) else ""
-            neg = repr(float(spectrum.negative[k])) \
-                if k < len(spectrum.negative) else ""
-            fh.write(f"{k + 1},{pos},{neg}\n")
+        columns = (map(repr, mu.tolist())
+                   for mu in (spectrum.positive, spectrum.negative))
+        fh.writelines(f"{k},{pos},{neg}\n" for k, (pos, neg) in enumerate(
+            zip_longest(*columns, fillvalue=""), start=1))
 
 
 def _timestamp() -> str:

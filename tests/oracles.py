@@ -4,8 +4,9 @@ These deliberately avoid the library's discretization: the arrangement
 oracle enumerates permutations, the stripe oracle searches every stripe
 for every cell, the restart oracle draws every start field up front
 from ``SeedSequence.spawn`` and runs every restart to its end in one
-process, solving every iterate afresh, and the pencil oracle restricts
-the dense pencil through an explicit n x (n - 1) basis by two GEMMs.  The
+process, solving every iterate afresh, the pencil oracle restricts
+the dense pencil through an explicit n x (n - 1) basis by two GEMMs, and
+the CSV oracles format every value on its own with ``repr(float(v))``.  The
 eigenvalue oracle ``two_phase_lambda1`` (the closed form of the 1D
 two-phase problem) and ``random_admissible`` (the admissible-weight
 generator) live in ``eigenweight.verify``, whose acceptance checks use
@@ -129,3 +130,23 @@ def restart_loop(cls, grid, max_iters, tol, restarts, seed, solver):
         if best is None or candidate[0] > best[0]:
             best = candidate
     return best + (len(distinct),)
+
+
+def per_value_field_csv(path, values, grid) -> None:
+    """A field CSV written one value at a time, one row per first-axis
+    line."""
+    lines = grid.lines(values)
+    shape = ",".join(str(n) for n in grid.shape)
+    extents = ",".join(repr(float(L)) for L in grid.extents)
+    with open(path, "w") as fh:
+        fh.write(f"# dim={grid.dim} shape={shape} extents={extents}\n")
+        for line in lines:
+            fh.write(",".join(repr(float(v)) for v in line) + "\n")
+
+
+def per_value_trajectory_csv(path, traj) -> None:
+    """A trajectory CSV written one value at a time."""
+    with open(path, "w") as fh:
+        fh.write("time,total_mass,min_v,max_v\n")
+        for row in zip(traj.times, traj.total_mass, traj.min_v, traj.max_v):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenweight import (ParseError, ValidationError, errors,
-                         principal_eigenpair, verify, weight_field)
-from eigenweight.cli import execute, main, parse_config
+                         principal_eigenpair, simulate_logistic, verify,
+                         weight_field)
+from eigenweight.cli import _number, _numbers, execute, main, parse_config
 from eigenweight.serialize import read_field_csv
 
 BASE_CONFIG = {
@@ -151,6 +154,14 @@ class TestExecute:
         assert len(rows) > 10
         payload = json.loads((tmp_path / "simulation.json").read_text())
         assert payload["outcome"] in ("persistent", "extinct", "undecided")
+        opts = config.simulate
+        traj = simulate_logistic(
+            weight_field(config.grid, config.values), gamma=opts["gamma"],
+            v0=np.full(config.grid.n_cells, opts["v0"]), dt=opts["dt"],
+            t_end=opts["t_end"])
+        assert payload["substeps"] == traj.substeps >= len(rows) - 2
+        assert payload["distinct_substep_lengths"] == \
+            traj.distinct_substep_lengths >= 1
 
     def test_rough_solve_reports_shift(self, tmp_path):
         config = parse_config(config_text(**ROUGH_SOLVE))
@@ -380,6 +391,38 @@ class TestMainExitCodes:
             f"validation error: {section}.{key} must be a number in float "
             f"range, got a 1329-bit integer")
 
+    @pytest.mark.parametrize("command,key", [("solve", "weight.values"),
+                                             ("simulate", "simulate.v0")])
+    @pytest.mark.parametrize("entry,code,message", [
+        (None, 3, "must be a number, got None"),
+        ([1.0], 3, "must be a number, got [1.0]"),
+        ("x", 3, "must be a number, got 'x'"),
+        (10 ** 400, 3,
+         "must be a number in float range, got a 1329-bit integer"),
+        (True, 0, None),
+    ])
+    def test_list_entry_messages(self, tmp_path, capsys, command, key,
+                                 entry, code, message):
+        doc = json.loads(config_text())
+        if key == "weight.values":
+            doc["weight"] = {"kind": "explicit",
+                             "values": [1.0, entry] + [-2.0] * 62}
+        else:
+            doc["simulate"]["v0"] = [0.01, entry] + [0.01] * 62
+        cfg = tmp_path / "entry.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if message is None:  # a JSON true is read as 1.0
+            assert err == ""
+            config = parse_config(json.dumps(doc))
+            parsed = config.values if key == "weight.values" \
+                else config.simulate["v0"]
+            assert parsed[1] == 1.0
+        else:
+            assert err == f"validation error: {key} {message}\n"
+
     def test_integer_past_digit_limit_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "digits.json"
         cfg.write_text(config_text().replace(
@@ -500,6 +543,16 @@ class TestMainExitCodes:
         cfg.write_text(config_text())
         assert main(["solve", "--config", str(cfg), "--quiet",
                      "--out", str(tmp_path / "out")]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats()),
+                max_size=40))
+def test_number_list_converts_like_the_entry_loop(raw):
+    one_call = _numbers(raw, "weight.values")
+    loop = np.array([_number(v, "weight.values") for v in raw], dtype=float)
+    assert one_call.dtype == loop.dtype and one_call.shape == loop.shape
+    assert one_call.tobytes() == loop.tobytes()
 
 
 #: the exit code of every error class of the package

@@ -15,7 +15,7 @@ from eigenweight import (
     simulate_logistic,
     weight_field,
 )
-from eigenweight.logistic import _implicit_diffusion
+from eigenweight.logistic import _diffusion_symbol, _implicit_diffusion
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def test_diffusion_solve_matches_sparse(kind, extents, shape):
     for _ in range(5):
         rhs = rng.standard_normal(grid.n_cells)
         ref = spla.spsolve(A, rhs)
-        got = _implicit_diffusion(grid, 0.013, rhs)
+        got = _implicit_diffusion(grid, _diffusion_symbol(grid, 0.013), rhs)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -162,3 +162,32 @@ def test_undecided_near_criticality(setup_1d):
     traj = simulate_logistic(m, lam1, np.full(64, 1e-4), dt=0.05,
                              t_end=10 / lam1)
     assert traj.outcome == "undecided"
+
+
+@pytest.mark.parametrize("factor,v0,t_end", [
+    (1.2, 0.01, 3.01), (0.8, 3.0, 3.0), (1.2, 2.0, 1.0), (0.0, 0.5, 0.33)])
+def test_substep_counts_match_recount(setup_1d, monkeypatch, factor, v0,
+                                      t_end):
+    grid, m, lam1 = setup_1d
+    gamma, dt = factor * lam1, 0.05
+    symbols = []
+
+    def counted(grid, dt_sub):
+        symbols.append(dt_sub)
+        return _diffusion_symbol(grid, dt_sub)
+
+    monkeypatch.setattr("eigenweight.logistic._diffusion_symbol", counted)
+    traj = simulate_logistic(m, gamma, np.full(64, v0), dt=dt, t_end=t_end)
+    # the guard again, from the recorded max of v at each step's start
+    m_abs_max = float(np.max(np.abs(m.values)))
+    t, substeps, lengths = 0.0, 0, set()
+    for v_max in traj.max_v[:-1]:
+        step_dt = min(dt, t_end - t)
+        n_sub = int(step_dt * gamma * (m_abs_max + 2.0 * max(v_max, 0.0))) + 1
+        substeps += n_sub
+        lengths.add(step_dt / n_sub)
+        t += step_dt
+    assert traj.substeps == substeps >= traj.times.size - 1
+    assert traj.distinct_substep_lengths == len(lengths)
+    assert sorted(set(symbols)) == sorted(lengths)
+    assert len(symbols) == len(lengths)
