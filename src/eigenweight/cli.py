@@ -245,12 +245,17 @@ def _options(doc: dict, name: str) -> dict:
             for key, (default, convert) in table.items()}
 
 
+def _string(value, key: str) -> str:
+    """``value`` if it is a string, or a ValidationError naming the key."""
+    if not isinstance(value, str):
+        raise errors.ValidationError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _read_profile(path) -> list:
     """The (value, measure) rows of a profile CSV, or a ValidationError
     naming the path."""
-    if not isinstance(path, str):
-        raise errors.ValidationError(
-            f"weight.path must be a string, got {path!r}")
+    _string(path, "weight.path")
     try:
         return read_profile_csv(path)
     except (OSError, ValueError, errors.ParseError) as exc:
@@ -346,7 +351,7 @@ def parse_config(text: str) -> RunConfig:
         grid=grid,
         values=_weight_values(_require(doc, "weight", "config"), grid),
         **{name: _options(doc, name) for name in _OPTIONS},
-        output_dir=str(doc.get("output_dir", "out")),
+        output_dir=_string(doc.get("output_dir", "out"), "output_dir"),
     )
 
 
@@ -477,17 +482,17 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.command == "verify" and args.config is None:
-        config = None
-        if args.out is None:
-            args.out = "out"
-    else:
-        if args.config is None:
-            parser.error("--config is required for this command")
-        try:
-            config = parse_config(_read_config(args.config))
-        except errors.EigenweightError as exc:
-            return _exit_code(exc, args.quiet)
+    if args.config is None and args.command != "verify":
+        parser.error("--config is required for this command")
+    try:
+        if args.seed is not None:
+            _integer(args.seed, "--seed", minimum=0)
+        config = None if args.config is None \
+            else parse_config(_read_config(args.config))
+    except errors.EigenweightError as exc:
+        return _exit_code(exc, args.quiet)
+    if config is None and args.out is None:
+        args.out = "out"
 
     code = execute(config, args.command, out_dir=args.out,
                    seed_override=args.seed, quiet=args.quiet)

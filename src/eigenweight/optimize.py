@@ -125,17 +125,17 @@ def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
 
 
 def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
-                  max_iters: int, tol: float, solver: str,
-                  solved: dict | None = None) -> tuple[list, set]:
+                  max_iters: int, tol: float, solver: str) -> tuple:
     """The fixed-point sweeps of the listed restarts, one after another.
 
-    Returns one (mu1, m, pair, trace, converged) per restart, in the order
-    given, and the sha256 digests of the arrangements solved.  ``solved``
-    maps digests to eigenpairs; a restart that reaches an arrangement in
-    it reuses the pair and follows the earlier path with sweeps alone.
+    Returns the best run as (mu1, restart, m, pair, trace, converged),
+    ties toward the restart listed first, and the sha256 digests of the
+    arrangements solved.  The restarts share one memo from digest to
+    eigenpair: a restart that reaches an arrangement solved before reuses
+    the pair and follows the earlier path with sweeps alone.
     """
-    solved = {} if solved is None else solved
-    runs = []
+    solved = {}
+    best = None
     for restart in restarts:
         m = _start_field(cls, grid, restart, seed)
         trace = []
@@ -157,8 +157,9 @@ def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
                 trace.append((it + 1, pair.mu1, pair.lambda1, 0))
                 break
             m = m_next
-        runs.append((pair.mu1, m, pair, tuple(trace), converged))
-    return runs, set(solved)
+        if best is None or pair.mu1 > best[0]:
+            best = (pair.mu1, restart, m, pair, tuple(trace), converged)
+    return best, set(solved)
 
 
 #: OpenBLAS thread-count entry points, newest naming first
@@ -212,21 +213,6 @@ def _one_blas_thread():
             set_(count)
 
 
-#: the eigenpairs one worker process has solved, shared by its restarts
-_worker_solved: dict = {}
-
-
-def _start_worker() -> None:
-    """Pool initializer: an empty memo."""
-    global _worker_solved
-    _worker_solved = {}
-
-
-def _worker_restarts(*args) -> tuple[list, set]:
-    """``_run_restarts`` in a worker process, on the worker's memo."""
-    return _run_restarts(*args, solved=_worker_solved)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -235,15 +221,15 @@ def _usable_cpus() -> int:
 
 
 def _parallel_runs(workers: int, restarts: int, args: tuple):
-    """Every restart as its own task in ``workers`` forked processes, or
+    """``_run_restarts`` on one fixed slice per forked worker process, or
     None when no such pool can run.
 
-    Each worker keeps one memo across the restarts it takes, so an
-    arrangement may be solved once per worker.  Errors raised by a
-    restart propagate unchanged.  Workers are forked, not spawned: a
-    spawned worker imports numpy and scipy afresh, which takes longer
-    than a restart, and the executor forks its workers before it starts
-    its own thread.
+    Worker w runs restarts w, w + workers, ..., so the pool takes
+    ``workers`` tasks whatever ``restarts`` is, and each worker's memo
+    lives for its one call.  Errors raised by a restart propagate
+    unchanged.  Workers are forked, not spawned: a spawned worker imports
+    numpy and scipy afresh, which takes longer than a restart, and the
+    executor forks its workers before it starts its own thread.
     """
     # imported here: a run that never forks loads neither (half a MB)
     import multiprocessing
@@ -254,11 +240,11 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
         context = multiprocessing.get_context("fork")
     except ValueError:
         return None
-    pool = ProcessPoolExecutor(workers, mp_context=context,
-                               initializer=_start_worker)
+    pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
-        tasks = [pool.submit(_worker_restarts, [restart], *args)
-                 for restart in range(restarts)]
+        tasks = [pool.submit(_run_restarts, range(w, restarts, workers),
+                             *args)
+                 for w in range(workers)]
         return [task.result() for task in tasks]
     except (OSError, BrokenProcessPool):
         return None
@@ -280,14 +266,14 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     ``max_iters`` is reported through ``converged=False``, not an error.
 
     Restarts are independent until they are compared, so they run in
-    min(restarts, usable CPUs) forked worker processes, or inline when
-    that is one or no process pool can start; either way several
-    restarts solve at one BLAS thread.
+    W = min(restarts, usable CPUs) forked worker processes, worker w
+    taking restarts w, w + W, ..., or inline when W is one or no process
+    pool can start; either way several restarts solve at one BLAS thread.
     Solves are deterministic at a fixed BLAS thread count, so no outcome
     depends on which worker ran a restart, and each distinct arrangement
-    is solved once per worker: a restart that reaches an arrangement its
-    worker has seen reuses the eigenpair and follows the earlier path
-    with sweeps alone.
+    is solved at most once per slice: a restart that reaches an
+    arrangement its slice has seen reuses the eigenpair and follows the
+    earlier path with sweeps alone.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(
@@ -304,22 +290,15 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
             else None
         if parts is None:
             parts = [_run_restarts(range(restarts), *args)]
-    best = None
-    digests = set()
-    for runs, seen in parts:  # restart order
-        digests |= seen
-        for run in runs:
-            if best is None or run[0] > best[0]:
-                best = run
-
-    _, m, pair, trace, converged = best
+    _, _, m, pair, trace, converged = max(
+        (run for run, _ in parts), key=lambda run: (run[0], -run[1]))
     return OptimizationResult(
         final_m=m,
         final_pair=pair,
         trace=trace,
         converged=converged,
         restarts_used=restarts,
-        solves=len(digests),
+        solves=len(set().union(*(seen for _, seen in parts))),
         comonotone_violations=count_comonotone_violations(m, pair.u, grid),
         monotone_x1=check_monotone_x1(m, grid),
     )

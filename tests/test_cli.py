@@ -219,6 +219,32 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "--config" in err and path in err
 
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_negative_seed_flag_exit_3(self, tmp_path, capsys, command):
+        cfg = tmp_path / "optimize.json"
+        cfg.write_text(config_text())
+        out = tmp_path / "out"
+        argv = [command, "--seed", "-1", "--out", str(out)]
+        if command == "optimize":
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == ("validation error: --seed must be "
+                                           "a whole number of at least 0, "
+                                           "got -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("output_dir", [None, 7, ["a", 1]])
+    def test_non_string_output_dir_exit_3(self, tmp_path, capsys,
+                                          monkeypatch, output_dir):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(config_text(output_dir=output_dir))
+        assert main(["solve", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            f"validation error: output_dir must be a string, got "
+            f"{output_dir!r}\n")
+        assert sorted(os.listdir(tmp_path)) == ["solve.json"]
+
     def test_solver_family_exit_3_on_inadmissible_explicit(self, tmp_path):
         # explicit all-negative weight passes parsing, fails admissibility
         doc = json.loads(config_text(

@@ -1,6 +1,8 @@
 import itertools
+import json
 import multiprocessing.context
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +23,12 @@ from eigenweight import (
     principal_eigenpair,
     weight_field,
 )
+from eigenweight import optimize
 from eigenweight.optimize import (
     _blas_thread_controls,
     _one_blas_thread,
     _parallel_runs,
+    _run_restarts,
     _start_field,
 )
 from oracles import (
@@ -264,6 +268,28 @@ def _openblas_thread_counts() -> list:
     return [get() for get, _ in _blas_thread_controls()]
 
 
+# Tasks that stand in for ``_run_restarts`` live at module level: a
+# worker's task is pickled by reference, and a local function has none.
+
+def _recorded_restarts(restarts, *args):
+    """``_run_restarts``, recording its slice, the restart of the run it
+    returns, the run's length and its process in $SLICE_RECORDS."""
+    run, seen = _run_restarts(restarts, *args)
+    record = [list(restarts), run[1], len(run), os.getpid()]
+    path = Path(os.environ["SLICE_RECORDS"], f"{restarts[0]}.json")
+    path.write_text(json.dumps(record))
+    return run, seen
+
+
+def _report_blas_threads(restarts, *args):
+    """The OpenBLAS thread counts and OS threads after a BLAS call."""
+    a = np.ones((256, 256))
+    a @ a  # a threaded BLAS call at more than one thread
+    threads = (len(os.listdir("/proc/self/task"))
+               if os.path.isdir("/proc/self/task") else 1)
+    return (_openblas_thread_counts(), threads), set()
+
+
 class TestParallelRestarts:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     @pytest.mark.parametrize("restarts", [2, 8])
@@ -319,23 +345,36 @@ class TestParallelRestarts:
         _optimize_on(monkeypatch, cpus, cls, grid, restarts=restarts)
         assert len(starts) == started
 
+    def test_each_worker_runs_one_fixed_slice(self, monkeypatch, tmp_path):
+        grid = build_grid("interval", [1.0], [32])
+        cls, _ = bang_bang_class(grid, 8)
+        inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=8, seed=4)
+        monkeypatch.setenv("SLICE_RECORDS", str(tmp_path))
+        monkeypatch.setattr(optimize, "_run_restarts", _recorded_restarts)
+        result = _optimize_on(monkeypatch, 3, cls, grid, restarts=8, seed=4)
+        records = sorted(json.loads(path.read_text())
+                         for path in tmp_path.iterdir())
+        # worker w runs restarts w, w + 3, ...; it returns one run, a
+        # (mu1, restart, m, pair, trace, converged) from its slice
+        assert [slice_ for slice_, _, _, _ in records] \
+            == [[0, 3, 6], [1, 4, 7], [2, 5]]
+        for slice_, restart, fields, pid in records:
+            assert restart in slice_ and fields == 6 and pid != os.getpid()
+        assert result.final_m.tobytes() == inline.final_m.tobytes()
+        assert result.trace == inline.trace
+        assert result.solves == inline.solves
+
     def test_workers_inherit_one_blas_thread(self, monkeypatch):
         controls = _blas_thread_controls()
         if not controls:
             pytest.skip("numpy and scipy bundle no OpenBLAS")
 
-        def report(*args, solved):
-            a = np.ones((256, 256))
-            a @ a  # a threaded BLAS call at more than one thread
-            threads = (len(os.listdir("/proc/self/task"))
-                       if os.path.isdir("/proc/self/task") else 1)
-            return [(_openblas_thread_counts(), threads)], set()
-
         before = _openblas_thread_counts()
         for _, set_ in controls:
             set_(2)
         try:
-            monkeypatch.setattr("eigenweight.optimize._run_restarts", report)
+            monkeypatch.setattr(optimize, "_run_restarts",
+                                _report_blas_threads)
             with _one_blas_thread():
                 parts = _parallel_runs(2, 3, ())
             assert _openblas_thread_counts() == [2] * len(controls)
@@ -343,7 +382,7 @@ class TestParallelRestarts:
             for (_, set_), count in zip(controls, before):
                 set_(count)
         # one BLAS thread, and no OpenBLAS helper thread in the worker
-        assert parts == [([([1] * len(controls), 1)], set())] * 3
+        assert parts == [(([1] * len(controls), 1), set())] * 2
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_inline_restarts_solve_at_one_blas_thread(self, monkeypatch,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from eigenweight import (
@@ -351,14 +351,24 @@ class TestDctKernel:
             np.testing.assert_allclose(iterative.u, dense.u, atol=1e-8)
             assert iterative.residual <= 1e-10
 
-    def test_iterative_rerun_byte_identical(self, rng):
-        grid = build_grid("rectangle", [2.0, 1.0], [24, 12])
-        m = weights(grid, random_admissible(rng, grid.n_cells))
+    @settings(max_examples=40, deadline=None)
+    @given(grid_spec=st.sampled_from(ROUGH_GRIDS),
+           seed=st.integers(0, 2 ** 32 - 1), rough=st.booleans())
+    def test_iterative_rerun_byte_identical(self, grid_spec, seed, rough):
+        # random_admissible weights take the arpack path; most rough
+        # bang-bang weights fall back to shift-invert
+        grid = build_grid(*grid_spec)
+        m = rough_bang_bang(grid, seed) if rough else weights(
+            grid, random_admissible(np.random.default_rng(seed),
+                                    grid.n_cells))
         first = principal_eigenpair(m, solver="iterative")
         again = principal_eigenpair(weights(grid, m.values.copy()),
                                     solver="iterative")
-        assert first.u.tobytes() == again.u.tobytes()
+        event(f"path {first.stats.path}")
+        assert repr(first.lambda1) == repr(again.lambda1)
         assert first.mu1 == again.mu1
+        assert first.u.tobytes() == again.u.tobytes()
+        assert first.stats == again.stats
 
 
     def test_rough_rerun_byte_identical(self):
