@@ -68,7 +68,7 @@ class Grid:
     @property
     def volume(self) -> float:
         """Measure of the whole domain."""
-        return float(np.prod(self.extents))
+        return math.prod(self.extents)
 
     def lines(self, f) -> np.ndarray:
         """A cell field with one first-axis line per row, by increasing
@@ -90,7 +90,9 @@ def build_grid(kind: str, extents, shape) -> Grid:
     kind : {"interval", "rectangle", "box"}
         Domain family; must match the number of axes given.
     extents : sequence of float
-        Positive, finite side length per axis.
+        Positive, finite side length per axis, such that every squared
+        spacing, the cell measure and the volume are finite and positive
+        in floating point.
     shape : sequence of int
         Cells per axis, each a whole number (16.0 counts as 16) and at
         least 2, with at most MAX_CELLS cells in all.
@@ -127,7 +129,15 @@ def build_grid(kind: str, extents, shape) -> Grid:
             f"cap of {MAX_CELLS}")
 
     spacing = tuple(L / n for L, n in zip(extents, shape))
-    return Grid(dim, extents, shape, spacing, float(np.prod(spacing)))
+    grid = Grid(dim, extents, shape, spacing, math.prod(spacing))
+    scales = [("spacing^2", h * h) for h in spacing] + [
+        ("cell measure", grid.cell_measure), ("volume", grid.volume)]
+    for name, value in scales:
+        if not 0 < value < np.inf:
+            raise InvalidSpec(
+                f"extents {extents} on shape {shape} give a {name} of "
+                f"{value!r}, which must be finite and positive")
+    return grid
 
 
 @lru_cache(maxsize=32)

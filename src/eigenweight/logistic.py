@@ -32,6 +32,9 @@ CLAMP_TOL = -1e-12
 
 _MAX_SUBSTEPS = 1_000_000
 
+#: most macro steps a run may take; each adds one entry to every history
+_MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -78,8 +81,9 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     substeps keeping  dt_sub * gamma * (max|m| + 2 max v) < 1,  which
     bounds the explicit reaction and keeps the implicit diffusion solve
     nonnegative; UnstableStep is raised if the guard needs more than
-    10^6 substeps, and InvalidSpec if the initial mass, max|m| + 2 max v0
-    or a substep's right-hand side overflows.  The diffusion symbol
+    10^6 substeps, and InvalidSpec if t_end / dt asks for more than 10^6
+    macro steps or the initial mass, max|m| + 2 max v0 or a substep's
+    right-hand side overflows.  The diffusion symbol
     W/dt_sub + K is computed again only when dt_sub changes.
     """
     grid = m.grid
@@ -92,6 +96,11 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     if not (0 < dt < np.inf and 0 < t_end < np.inf):
         raise InvalidSpec(
             f"dt and t_end must be positive and finite, got {dt}, {t_end}")
+    steps = t_end / dt - 1e-12
+    if not steps < _MAX_STEPS:
+        raise InvalidSpec(
+            f"t_end / dt = {t_end:g} / {dt:g} asks for {steps:g} macro "
+            f"steps, more than {_MAX_STEPS}")
     if not 0 <= gamma < np.inf:
         raise InvalidSpec(
             f"gamma must be nonnegative and finite, got {gamma}")
@@ -104,7 +113,7 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
         raise InvalidSpec(
             "initial density is too large: its mass or the stability "
             "guard's max|m| + 2 max v0 overflows")
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
+    n_steps = int(np.ceil(steps))
 
     times = [0.0]
     mass = [mass0]

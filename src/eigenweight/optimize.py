@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import pickle
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache
@@ -96,19 +97,24 @@ def count_comonotone_violations(m, u, grid: Grid) -> int:
     """
     m = as_field(grid, m)
     u = as_field(grid, u)
-    order = np.argsort(-u, kind="stable")
-    u_sorted = u[order]
-    m_sorted = m[order]
+    # descending u, ties by descending m, so a pair with equal u never has
+    # m rising along the order: the count is the pairs where it rises
+    order = np.lexsort((-m, -u))
+    rank = np.unique(m, return_inverse=True)[1][order]
+    n = rank.size
+    pos = np.arange(n)
     total = 0
-    # scan blocks of equal u; earlier blocks have strictly larger u
-    starts = np.flatnonzero(np.r_[True, u_sorted[1:] != u_sorted[:-1]])
-    ends = np.r_[starts[1:], u_sorted.size]
-    for s, e in zip(starts, ends):
-        rest = m_sorted[e:]
-        if rest.size == 0:
-            break
-        block = m_sorted[s:e]
-        total += int(np.sum(block[:, None] < rest[None, :]))
+    # a merge count: at level k every pair of halves of width 2^(k-1)
+    # within one block of width 2^k counts its left members below each
+    # right member, found by one sorted search over blocks keyed apart
+    k = 1
+    while 1 << (k - 1) < n:
+        base = (pos >> k) * n
+        right = ((pos >> (k - 1)) & 1).astype(bool)
+        left_keys = np.sort(base[~right] + rank[~right])
+        total += int((np.searchsorted(left_keys, base[right] + rank[right])
+                      - np.searchsorted(left_keys, base[right])).sum())
+        k += 1
     return total
 
 
@@ -229,7 +235,9 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
     lives for its one call.  Errors raised by a restart propagate
     unchanged.  Workers are forked, not spawned: a spawned worker imports
     numpy and scipy afresh, which takes longer than a restart, and the
-    executor forks its workers before it starts its own thread.
+    executor forks its workers before it starts its own thread.  The task
+    is pickled once before the pool starts, so one that cannot be pickled
+    raises here: two such tasks in the pool would hang its shutdown.
     """
     # imported here: a run that never forks loads neither (half a MB)
     import multiprocessing
@@ -240,6 +248,7 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
         context = multiprocessing.get_context("fork")
     except ValueError:
         return None
+    pickle.dumps((_run_restarts, args))
     pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
         tasks = [pool.submit(_run_restarts, range(w, restarts, workers),

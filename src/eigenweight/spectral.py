@@ -251,9 +251,10 @@ def _dense_pencil(m: WeightField):
     symmetric X, x = X v and z = beta x - beta^2 (v^T x) v / 2,
     (H X H)[1:, 1:] = X[1:, 1:] - v1 z1^T - z1 v1^T (v1, z1 without their
     first entry), a rank-2 update done in place by ``dsyr2`` on the lower
-    triangle, which ``eigh`` reads; the upper triangles of A and S are
-    stale.  Returns (A, S, lift): an eigenvector y of A y = mu S y is the
-    cell field lift(y) = H [0; y].
+    triangle.  A and S come back in Fortran order with only their lower
+    triangles valid, as ``_eigh_in_place`` reads them.  Returns
+    (A, S, lift): an eigenvector y of A y = mu S y is the cell field
+    lift(y) = H [0; y].
     """
     n = m.grid.n_cells
     if n > DENSE_CELL_LIMIT:
@@ -268,15 +269,28 @@ def _dense_pencil(m: WeightField):
 
     def restrict(X, x):
         z = beta * x - (0.5 * beta * beta * _dot(v, x)) * v
-        # the Fortran view X.T holds X's lower triangle as its upper one
-        return scipy.linalg.blas.dsyr2(-1.0, v[1:], z[1:], lower=0, a=X.T,
-                                       overwrite_a=1).T
+        # X is symmetric, so X.T is X in Fortran order, updated where it lies
+        return scipy.linalg.blas.dsyr2(-1.0, z[1:], v[1:], lower=1, a=X.T,
+                                       overwrite_a=1)
 
     def lift(y):
         return np.concatenate(([0.0], y)) - (beta * _dot(v[1:], y)) * v
 
     return (restrict(np.diag(q[1:]), q * v),
             restrict(K[1:, 1:].toarray(), K @ v), lift)
+
+
+def _eigh_in_place(A: np.ndarray, S: np.ndarray, **kwargs):
+    """``scipy.linalg.eigh(A, S, **kwargs)`` on a ``_dense_pencil`` pencil,
+    overwriting A and S.
+
+    Both are Fortran-ordered, so LAPACK factors them where they lie and
+    neither is copied.  Their values are not checked: they are finite
+    when the weight's and K's are and the reflector's v^T v neither
+    overflows nor underflows.
+    """
+    return scipy.linalg.eigh(A, S, overwrite_a=True, overwrite_b=True,
+                             check_finite=False, **kwargs)
 
 
 def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
@@ -455,7 +469,7 @@ def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
     if solver == "dense":
         A, S, lift = _dense_pencil(m)
         top = A.shape[0] - 1
-        vals, vecs = scipy.linalg.eigh(A, S, subset_by_index=[top, top])
+        vals, vecs = _eigh_in_place(A, S, subset_by_index=[top, top])
         mu1 = float(vals[0])
         if mu1 <= 0:  # pragma: no cover - admissible weights have mu1 > 0
             raise NoPositivePart("pencil has no positive eigenvalue")
@@ -477,7 +491,7 @@ def signed_spectrum(m: WeightField, k: int) -> SignedSpectrum:
         raise ZeroWeightIntegral("weight integrates to zero")
     unit, exp = _unit_weight(m)
     A, S, _ = _dense_pencil(unit)
-    vals = np.ldexp(scipy.linalg.eigh(A, S, eigvals_only=True), exp)
+    vals = np.ldexp(_eigh_in_place(A, S, eigvals_only=True), exp)
     pos = vals[vals > 0][::-1][:k].copy()
     neg = vals[vals < 0][:k].copy()
     bound = float(np.max(np.abs(vals))) if vals.size else 0.0

@@ -5,7 +5,8 @@ oracle enumerates permutations, the stripe oracle searches every stripe
 for every cell, the restart oracle draws every start field up front
 from ``SeedSequence.spawn`` and runs every restart to its end in one
 process, solving every iterate afresh, the pencil oracle restricts
-the dense pencil through an explicit n x (n - 1) basis by two GEMMs, and
+the dense pencil through an explicit n x (n - 1) basis by two GEMMs, the
+dense-solve oracle hands ``eigh`` C-ordered copies of the pencil, and
 the CSV oracles format every value on its own with ``repr(float(v))``.  The
 eigenvalue oracle ``two_phase_lambda1`` (the closed form of the 1D
 two-phase problem) and ``random_admissible`` (the admissible-weight
@@ -17,11 +18,13 @@ import hashlib
 from itertools import permutations
 
 import numpy as np
+import scipy.linalg
 
 from eigenweight import (
     assemble_stiffness,
     comonotone_arrangement,
     principal_eigenpair,
+    spectral,
     weight_field,
 )
 from eigenweight.verify import random_admissible_values as random_admissible
@@ -54,6 +57,21 @@ def gemm_pencil(m):
     A = B.T @ (q[:, None] * B)
     S = B.T @ (assemble_stiffness(m.grid) @ B)
     return 0.5 * (A + A.T), 0.5 * (S + S.T), B
+
+
+def copied_dense_eigenpair(m):
+    """The dense principal eigenpair with ``eigh`` run on C-ordered copies
+    of the pencil, which it copies again into Fortran order before LAPACK
+    factors them."""
+    unit, exp = spectral._unit_weight(m)
+    A, S, lift = spectral._dense_pencil(unit)
+    top = A.shape[0] - 1
+    vals, vecs = scipy.linalg.eigh(np.ascontiguousarray(A),
+                                   np.ascontiguousarray(S),
+                                   subset_by_index=[top, top])
+    pair = spectral._finalize_eigenpair(unit, vals[0], lift(vecs[:, 0]),
+                                        spectral.SolveStats("dense"))
+    return float(np.ldexp(pair.mu1, exp)), pair.u, pair.residual
 
 
 def oscillating_layout(values, counts, n1: int, n_cells: int, k: int):

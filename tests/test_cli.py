@@ -288,6 +288,33 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "out")]) == 3
         assert "extents" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command",
+                             ["solve", "optimize", "rearrange", "simulate"])
+    @pytest.mark.parametrize("extents", [
+        [2.0, 1e308],  # spacing^2 overflows
+        [1e-200, 1.0],  # spacing^2 underflows
+        [1e-170, 1e-170],  # so do spacing^2 and the cell measure
+    ])
+    def test_extents_out_of_range_exit_3(self, tmp_path, capsys, command,
+                                         extents):
+        cfg = tmp_path / "extents.json"
+        cfg.write_text(config_text(
+            domain={"type": "rectangle", "extents": extents,
+                    "shape": [8, 8]}))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "extents" in err and "finite and positive" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_macro_step_overflow_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "steps.json"
+        cfg.write_text(config_text(simulate=dict(
+            BASE_CONFIG["simulate"], dt=1e-300, t_end=1e10)))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "t_end / dt" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["gamma", "dt", "t_end", "v0", "v0[1]"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_simulate_input_exit_3(self, tmp_path, capsys, key,

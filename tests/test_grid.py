@@ -69,6 +69,17 @@ def test_malformed_descriptor(kind, extents, shape):
         build_grid(kind, extents, shape)
 
 
+@pytest.mark.parametrize("kind,extents,shape,name", [
+    ("rectangle", [2.0, 1e308], [8, 4], "spacing\\^2 of inf"),
+    ("rectangle", [1e-200, 1.0], [8, 4], "spacing\\^2 of 0.0"),
+    ("box", [1e-160] * 3, [2, 2, 2], "cell measure of 0.0"),
+    ("rectangle", [1e154, 1e155], [1024, 1024], "volume of inf"),
+])
+def test_extents_out_of_floating_point_range(kind, extents, shape, name):
+    with pytest.raises(InvalidSpec, match=name):
+        build_grid(kind, extents, shape)
+
+
 def test_fractional_cell_count_rejected():
     with pytest.raises(InvalidSpec, match="whole numbers"):
         build_grid("interval", [1.0], [16.7])

@@ -67,6 +67,14 @@ def test_bad_step_parameters(setup_1d):
         simulate_logistic(m, -1.0, np.zeros(64), dt=0.1, t_end=1.0)
 
 
+@pytest.mark.parametrize("dt,t_end", [(1e-300, 1e10), (1e-3, 1e4)])
+def test_macro_step_cap(setup_1d, dt, t_end):
+    # t_end / dt overflows to inf, or asks for 10^7 macro steps
+    _, m, _ = setup_1d
+    with pytest.raises(InvalidSpec, match=r"t_end / dt.*more than 1000000"):
+        simulate_logistic(m, 1.0, np.full(64, 0.01), dt=dt, t_end=t_end)
+
+
 def test_unstable_guard(setup_1d):
     _, m, _ = setup_1d
     with pytest.raises(UnstableStep):

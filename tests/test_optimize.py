@@ -2,6 +2,9 @@ import itertools
 import json
 import multiprocessing.context
 import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +118,26 @@ class TestComonotoneViolations:
                 brute = int(np.sum((u[:, None] > u[None, :])
                                    & (m[:, None] < m[None, :])))
                 assert count_comonotone_violations(m, u, grid) == brute
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.one_of(
+               st.tuples(st.integers(2, 300)),
+               st.tuples(st.integers(2, 16), st.integers(2, 16)),
+               st.tuples(st.integers(2, 6), st.integers(2, 6),
+                         st.integers(2, 6))),
+           levels=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           data=st.data())
+    def test_merge_count_matches_brute_force(self, shape, levels, data):
+        # few levels give long runs of ties in u and in m; -0.0 ties 0.0
+        kind = {1: "interval", 2: "rectangle", 3: "box"}[len(shape)]
+        grid = build_grid(kind, [1.0] * len(shape), shape)
+        u, m = (np.array(data.draw(st.lists(
+            st.sampled_from([0.5 * i for i in range(k)] + [-0.0]),
+            min_size=grid.n_cells, max_size=grid.n_cells)))
+            for k in levels)
+        brute = int(np.sum((u[:, None] > u[None, :])
+                           & (m[:, None] < m[None, :])))
+        assert count_comonotone_violations(m, u, grid) == brute
 
     def test_ties_in_u_count_no_pairs(self):
         grid = build_grid("interval", [1.0], [6])
@@ -290,6 +313,18 @@ def _report_blas_threads(restarts, *args):
     return (_openblas_thread_counts(), threads), set()
 
 
+#: a child that runs ``_parallel_runs`` on a stand-in pickle refuses (a
+#: lambda has no name to be found by) and prints the error it raised
+_UNPICKLABLE_CHILD = """
+from eigenweight import optimize
+optimize._run_restarts = lambda restarts, *args: (None, set())
+try:
+    optimize._parallel_runs(2, 4, ())
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
 class TestParallelRestarts:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     @pytest.mark.parametrize("restarts", [2, 8])
@@ -363,6 +398,25 @@ class TestParallelRestarts:
         assert result.final_m.tobytes() == inline.final_m.tobytes()
         assert result.trace == inline.trace
         assert result.solves == inline.solves
+
+    def test_unpicklable_task_raises(self):
+        # both tasks fail to pickle; a pool that received them hung in its
+        # shutdown, so the child runs in its own session, killed if late
+        src = str(Path(optimize.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _UNPICKLABLE_CHILD], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("_parallel_runs hung on tasks it cannot pickle")
+        assert child.returncode == 0, err
+        assert "pickle" in out.lower(), out
 
     def test_workers_inherit_one_blas_thread(self, monkeypatch):
         controls = _blas_thread_controls()

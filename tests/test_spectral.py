@@ -32,7 +32,8 @@ import eigenweight
 from eigenweight import spectral
 from eigenweight.grid import dct_eigenvalues, to_dct
 from eigenweight.spectral import SOLVERS
-from oracles import gemm_pencil, random_admissible, two_phase_lambda1
+from oracles import (copied_dense_eigenpair, gemm_pencil, random_admissible,
+                     two_phase_lambda1)
 
 #: (kind, extents, shape) of anisotropic grids with odd cell counts
 ODD_GRIDS = [
@@ -322,6 +323,39 @@ class TestDensePencil:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * 8 * n * n
+
+    @pytest.mark.parametrize("solve", [
+        lambda m: principal_eigenpair(m, solver="dense"),
+        lambda m: signed_spectrum(m, 5),
+    ], ids=["principal_eigenpair", "signed_spectrum"])
+    def test_pencil_solved_in_place(self, solve):
+        # LAPACK factors the Fortran-ordered A and S where they lie; an eigh
+        # that copies both peaks near 4 x 8 n^2
+        grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
+        n = grid.n_cells
+        m = rough_bang_bang(grid, 0)
+        assemble_stiffness(grid)
+        tracemalloc.start()
+        try:
+            solve(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * n * n
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=SMALL_SHAPES, extents=EXTENTS,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_in_place_solve_matches_copied_oracle(self, shape, extents,
+                                                  seed):
+        grid = drawn_grid(shape, extents)
+        m = weights(grid, random_admissible(np.random.default_rng(seed),
+                                            grid.n_cells))
+        pair = principal_eigenpair(m, solver="dense")
+        mu1, u, residual = copied_dense_eigenpair(m)
+        assert repr(pair.mu1) == repr(mu1)
+        assert pair.u.tobytes() == u.tobytes()
+        assert repr(pair.residual) == repr(residual)
 
 
 class TestDctKernel:
