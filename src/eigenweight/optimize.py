@@ -15,22 +15,19 @@ supports random restarts from seeded permutations.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import os
 import pickle
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import NotAdmissibleClass, IndivisibleStripes
 from .grid import Grid, as_field
 from .rearrange import RearrangementClass, comonotone_arrangement
-from .spectral import EigenPair, principal_eigenpair, weight_field
+from .spectral import (EigenPair, _one_blas_thread, principal_eigenpair,
+                       weight_field)
 
 
 #: per-line label indexed by 2 * nonincreasing + nondecreasing
@@ -166,57 +163,6 @@ def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
         if best is None or pair.mu1 > best[0]:
             best = (pair.mu1, restart, m, pair, tuple(trace), converged)
     return best, set(solved)
-
-
-#: OpenBLAS thread-count entry points, newest naming first
-_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
-                   "scipy_openblas_{}_num_threads",
-                   "openblas_{}_num_threads64_",
-                   "openblas_{}_num_threads")
-
-
-@cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS build bundled
-    with scipy and numpy; empty where neither bundles one."""
-    controls = []
-    for package in (scipy, np):
-        libs = Path(package.__file__).resolve().parent.parent
-        for lib in sorted(libs.glob(f"{package.__name__}.libs/*openblas*")):
-            try:
-                handle = ctypes.CDLL(str(lib))
-            except OSError:
-                continue
-            for symbol in _THREAD_SYMBOLS:
-                get = getattr(handle, symbol.format("get"), None)
-                set_ = getattr(handle, symbol.format("set"), None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = (), ctypes.c_int
-                    set_.argtypes, set_.restype = (ctypes.c_int,), None
-                    controls.append((get, set_))
-                    break
-    return tuple(controls)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Every bundled OpenBLAS at one thread inside, as before outside.
-
-    Processes forked inside inherit the count.  Setting it in a child
-    instead makes OpenBLAS re-create its helper threads there, as many as
-    it was loaded with, and they spin against the other workers before
-    they sleep: loaded at two threads on two CPUs, that made 8 forked
-    restarts on 64x32 about an eighth slower.
-    """
-    controls = _blas_thread_controls()
-    counts = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(controls, counts):
-            set_(count)
 
 
 def _usable_cpus() -> int:

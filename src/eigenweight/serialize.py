@@ -160,6 +160,7 @@ def eigenpair_payload(pair: EigenPair) -> dict:
         "path": pair.stats.path,
         "applies": pair.stats.applies,
         "sigma": pair.stats.sigma,
+        "halvings": pair.stats.halvings,
     }
 
 

@@ -25,28 +25,40 @@ operator
 on the non-constant DCT modes.  The solution operator is P K^+ P^T
 (diag(q) f) through the same kernel.
 
-The iterative path runs in two stages.  ARPACK (``eigsh``) first seeks the
-largest eigenvalue mu1 of S at two transforms per apply, within
-``_PROBE_RESTARTS`` restarts; the eigenfunction is u = P C^T Lambda^{-1/2} y.
-Smooth weights converge there.  A rough weight crowds the top of the
-spectrum of S (gaps under 1%), and ARPACK then stalls for hundreds of
-applies, so the solve falls back to spectral-transformation Lanczos
-(Ericsson and Ruhe 1980; Grimes, Lewis and Simon 1994) on the pencil
-(K, Q), Q = diag(q).  For a shift 0 < sigma < lambda1 the matrix
+The iterative path runs in two stages.  ARPACK (``eigsh``) first runs on
+S to the loose tolerance ``_SHIFT_TOL`` from a seeded start, at two
+transforms per apply; its Ritz pair (theta, y) bounds mu1 from below, and
+the eigenfunction is u = P C^T Lambda^{-1/2} y.  Smooth weights stop in
+ARPACK's first cycle with |S y - theta y| <= tol theta, and the pair is
+the answer.  A run that stopped in its first cycle short of ``tol`` is
+refined from y within ``_PROBE_RESTARTS`` restarts.  A rough weight
+crowds the top of the spectrum of S (gaps under 1%), needs more cycles
+even at the loose tolerance, and would stall for hundreds of applies at
+``tol``; the solve then goes on, as it does when the refinement stalls,
+to spectral-transformation Lanczos (Ericsson and Ruhe 1980; Grimes, Lewis
+and Simon 1994) on the pencil (K, Q), Q = diag(q), with the theta in
+hand.  For a shift 0 < sigma < lambda1 the matrix
 B = K - sigma Q is positive definite (on each pencil eigenvector
 u^T B u = (lambda_j - sigma) u^T Q u > 0, and on the constants
 -sigma int m > 0), so Lanczos on Q u = nu B u in the B inner product
 finds nu1 = 1/(lambda1 - sigma) at one sparse LU solve per apply.  The
 shift is certified by Sylvester inertia: a symmetric-mode LU of B with
 diagonal pivots has as many negative pivots as the pencil has eigenvalues
-in (0, sigma), so all-positive pivots prove sigma < lambda1.
+in (0, sigma), so all-positive pivots prove sigma < lambda1.  Every
+iterative solve runs with the bundled OpenBLAS at one thread, so its bytes
+do not depend on the process's BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg as spla
@@ -77,17 +89,25 @@ DENSE_CELL_LIMIT = 6000
 #: eigensolver paths accepted by ``principal_eigenpair``
 SOLVERS = ("dense", "iterative")
 
-#: ARPACK restarts on S before the iterative path falls back to the shift
+#: ARPACK restarts on S in the refine step before the iterative path falls
+#: back to the shift
 _PROBE_RESTARTS = 6
 
 #: seed of ARPACK's start vector and of its restart draws
 _ARPACK_SEED = 0x5EED
 
-#: the shift estimate: a run on S to this tolerance gives theta <= mu1, and
-#: the first shift is _SHIFT_SHARE / theta, halved while inertia rejects it
-_SHIFT_TOL = 0.1
-_SHIFT_SHARE = 0.9
+#: the loose run: ARPACK on S to this tolerance gives theta <= mu1 and picks
+#: the path; the first shift is _SHIFT_SHARE / theta, halved while inertia
+#: rejects it
+_SHIFT_TOL = 0.5
+_SHIFT_SHARE = 0.8
 _SHIFT_HALVINGS = 30
+
+#: OpenBLAS thread-count entry points, newest naming first
+_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                   "scipy_openblas_{}_num_threads",
+                   "openblas_{}_num_threads64_",
+                   "openblas_{}_num_threads")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +154,14 @@ class SolveStats:
     ``path`` is "dense", "arpack" or "shift-invert".  ``applies`` counts
     operator applications: applies of S, then solves with B on the
     shift-invert path (0 on the dense path).  ``sigma`` is the certified
-    shift of the shift-invert path and None on the others.
+    shift of the shift-invert path and None on the others; ``halvings``
+    counts the shifts that inertia rejected before it.
     """
 
     path: str
     applies: int = 0
     sigma: float | None = None
+    halvings: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +220,13 @@ def _unit_weight(m: WeightField) -> tuple[WeightField, int]:
     the bytes an unscaled computation gives, and weights near the overflow
     or underflow threshold are computed too.
     """
-    exp = int(np.frexp(np.abs(m.values).max())[1])
+    exp = _exponent(m.values)
     return weight_field(m.grid, np.ldexp(m.values, -exp)), exp
+
+
+def _exponent(x: np.ndarray) -> int:
+    """e with 2^e the power of two just above max|x|."""
+    return int(np.frexp(np.abs(x).max())[1])
 
 
 def project_mean_zero(m: WeightField, f) -> np.ndarray:
@@ -262,9 +289,11 @@ def _dense_pencil(m: WeightField):
             f"{n} cells exceeds the dense limit of {DENSE_CELL_LIMIT}")
     K = assemble_stiffness(m.grid)
     q = _weighted_values(m)
-    v = q.copy()
-    norm = np.sqrt(_dot(q, q))
-    v[0] += norm if q[0] >= 0 else -norm
+    # the reflector of q / 2^e is H itself; the division is exact, and
+    # v^T v neither overflows nor underflows at any cell measure
+    v = np.ldexp(q, -_exponent(q))
+    norm = np.sqrt(_dot(v, v))
+    v[0] += norm if v[0] >= 0 else -norm
     beta = 2.0 / _dot(v, v)
 
     def restrict(X, x):
@@ -286,11 +315,17 @@ def _eigh_in_place(A: np.ndarray, S: np.ndarray, **kwargs):
 
     Both are Fortran-ordered, so LAPACK factors them where they lie and
     neither is copied.  Their values are not checked: they are finite
-    when the weight's and K's are and the reflector's v^T v neither
-    overflows nor underflows.
+    when the weight's and K's are.  A Cholesky factorization of S that
+    fails (its condition grows with the aspect ratio of a cell) raises
+    SingularSystem.
     """
-    return scipy.linalg.eigh(A, S, overwrite_a=True, overwrite_b=True,
-                             check_finite=False, **kwargs)
+    try:
+        return scipy.linalg.eigh(A, S, overwrite_a=True, overwrite_b=True,
+                                 check_finite=False, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(
+            f"Cholesky factorization of the restricted stiffness failed: "
+            f"{exc}") from exc
 
 
 def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
@@ -311,7 +346,10 @@ def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
             "principal eigenfunction is not one-signed; solver failure")
     lam = 1.0 / mu1
     r = Ku - lam * (q * u)
-    r -= q * (_dot(q, r) / _dot(q, q))
+    # the component along q, removed along q / 2^e: exact, and its square
+    # norm neither overflows nor underflows
+    v = np.ldexp(q, -_exponent(q))
+    r -= v * (_dot(v, r) / _dot(v, v))
     residual = float(np.sqrt(_dot(r, r))
                      / max(np.sqrt(_dot(Ku, Ku)), 1e-300))
     return EigenPair(mu1=float(mu1), lambda1=float(lam), u=u,
@@ -324,6 +362,51 @@ def _check_admissible(m: WeightField) -> None:
             f"weight integral {m.integral:g} is nonnegative")
     if not m.has_positive_part:
         raise NoPositivePart("weight is nonpositive everywhere")
+
+
+@cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS build bundled
+    with scipy and numpy; empty where neither bundles one."""
+    controls = []
+    for package in (scipy, np):
+        libs = Path(package.__file__).resolve().parent.parent
+        for lib in sorted(libs.glob(f"{package.__name__}.libs/*openblas*")):
+            try:
+                handle = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for symbol in _THREAD_SYMBOLS:
+                get = getattr(handle, symbol.format("get"), None)
+                set_ = getattr(handle, symbol.format("set"), None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    set_.argtypes, set_.restype = (ctypes.c_int,), None
+                    controls.append((get, set_))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Every bundled OpenBLAS at one thread inside, as before outside.
+
+    ARPACK's own BLAS calls round differently at each thread count above
+    about 10,000 cells, so every iterative solve runs inside.  A count
+    already at one is left alone: setting it in a forked child makes
+    OpenBLAS re-create its helper threads there, as many as it was loaded
+    with, and they spin against the other workers before they sleep.
+    Processes forked inside inherit the count.
+    """
+    changed = [(set_, count) for get, set_ in _blas_thread_controls()
+               if (count := get()) != 1]
+    for set_, _ in changed:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, count in changed:
+            set_(count)
 
 
 class _Counted(spla.LinearOperator):
@@ -359,16 +442,17 @@ def _dct_operator(m: WeightField):
     return _Counted(matvec, grid.n_cells), to_vm
 
 
-def _arpack_top(A, tol: float, **kwargs):
+def _arpack_top(A, tol: float, v0=None, **kwargs):
     """Largest eigenvalue and eigenvector of A by ARPACK (``eigsh``).
 
-    The start vector is a fixed-seed random vector, generic against grid
-    symmetries, and ARPACK's restart draws come from a fixed-seed
-    generator, so the same inputs always produce the same bytes.  Every
-    operator solved here has a positive top eigenvalue, so a nonpositive
-    one raises SingularSystem.
+    The default start vector is a fixed-seed random vector, generic
+    against grid symmetries, and ARPACK's restart draws come from a
+    fixed-seed generator, so the same inputs always produce the same
+    bytes.  Every operator solved here has a positive top eigenvalue, so a
+    nonpositive one raises SingularSystem.
     """
-    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(A.shape[0])
+    if v0 is None:
+        v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(A.shape[0])
     vals, vecs = spla.eigsh(A, k=1, which="LA", tol=tol, v0=v0,
                             rng=np.random.default_rng(_ARPACK_SEED),
                             **kwargs)
@@ -378,16 +462,40 @@ def _arpack_top(A, tol: float, **kwargs):
     return float(vals[0]), vecs[:, 0]
 
 
+def _first_cycle(n: int) -> int:
+    """Applies of one ARPACK cycle for one eigenpair of an n x n operator:
+    ``eigsh``'s default Lanczos basis, min(n, 20) vectors, and one more."""
+    return min(n, 20) + 1
+
+
 def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
-    """Largest eigenvalue of S by ARPACK within ``_PROBE_RESTARTS``
-    restarts, else by ``_shift_invert``."""
+    """Largest eigenvalue of S; a loose ARPACK run picks the path.
+
+    The run to ``_SHIFT_TOL`` from the seeded start gives a Ritz pair
+    (theta, y).  It is the answer when |S y - theta y| <= tol theta.  If
+    instead it ended in ARPACK's first cycle, ARPACK refines it from y at
+    ``tol`` within ``_PROBE_RESTARTS`` restarts.  Otherwise, or when the
+    refinement does not converge, ``_shift_invert`` starts from theta.
+    """
     S, to_vm = _dct_operator(m)
     try:
-        mu1, y = _arpack_top(S, tol, maxiter=_PROBE_RESTARTS)
-    except spla.ArpackNoConvergence:
-        return _shift_invert(m, tol, applies=S.applies)
-    return _finalize_eigenpair(m, mu1, to_vm(y),
-                               SolveStats("arpack", S.applies))
+        theta, y = _arpack_top(S, _SHIFT_TOL)
+    except spla.ArpackNoConvergence as exc:
+        raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
+    first_cycle = S.applies <= _first_cycle(S.shape[0])
+    r = S.matvec(y) - theta * y
+    if np.sqrt(_dot(r, r)) <= tol * theta:
+        return _finalize_eigenpair(m, theta, to_vm(y),
+                                   SolveStats("arpack", S.applies))
+    if first_cycle:
+        try:
+            mu1, y = _arpack_top(S, tol, v0=y, maxiter=_PROBE_RESTARTS)
+        except spla.ArpackNoConvergence:
+            pass
+        else:
+            return _finalize_eigenpair(m, mu1, to_vm(y),
+                                       SolveStats("arpack", S.applies))
+    return _shift_invert(m, tol, theta, S.applies)
 
 
 def _shifted_lu(m: WeightField, sigma: float):
@@ -408,22 +516,18 @@ def _shifted_lu(m: WeightField, sigma: float):
     return lu, B, int(np.count_nonzero(lu.U.diagonal() <= 0))
 
 
-def _shift_invert(m: WeightField, tol: float, applies: int = 0) -> EigenPair:
+def _shift_invert(m: WeightField, tol: float, theta: float,
+                  applies: int = 0) -> EigenPair:
     """Largest eigenvalue nu1 = 1/(lambda1 - sigma) of Q u = nu B u.
 
-    A loose ARPACK run on S gives a Ritz value theta <= mu1, so 1/theta is
-    at least lambda1; the first shift is ``_SHIFT_SHARE / theta``, halved
-    until the inertia of B proves sigma < lambda1.  Lanczos then runs in
-    the B inner product with one LU solve per apply, and lambda1 is
-    sigma + 1/nu1.  ``applies`` are those already spent on this solve.
+    theta <= mu1 is a Ritz value of S, so 1/theta is at least lambda1; the
+    first shift is ``_SHIFT_SHARE / theta``, halved until the inertia of B
+    proves sigma < lambda1.  Lanczos then runs in the B inner product with
+    one LU solve per apply, and lambda1 is sigma + 1/nu1.  ``applies`` are
+    those already spent on this solve.
     """
-    S, _ = _dct_operator(m)
-    try:
-        theta, _ = _arpack_top(S, _SHIFT_TOL)
-    except spla.ArpackNoConvergence as exc:
-        raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
     sigma = _SHIFT_SHARE / theta
-    for _ in range(_SHIFT_HALVINGS):
+    for halvings in range(_SHIFT_HALVINGS):
         lu, B, negative = _shifted_lu(m, sigma)
         if negative == 0:
             break
@@ -436,8 +540,8 @@ def _shift_invert(m: WeightField, tol: float, applies: int = 0) -> EigenPair:
                              M=B, Minv=Binv)
     except spla.ArpackNoConvergence as exc:
         raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
-    stats = SolveStats("shift-invert", applies + S.applies + Binv.applies,
-                       sigma)
+    stats = SolveStats("shift-invert", applies + Binv.applies, sigma,
+                       halvings)
     return _finalize_eigenpair(m, 1.0 / (sigma + 1.0 / nu1),
                                project_mean_zero(m, u), stats)
 
@@ -476,7 +580,8 @@ def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
         return _finalize_eigenpair(m, mu1, lift(vecs[:, 0]),
                                    SolveStats("dense"))
     if solver == "iterative":
-        return _dct_iteration(m, tol)
+        with _one_blas_thread():
+            return _dct_iteration(m, tol)
     raise ValueError(f"unknown solver {solver!r}")
 
 

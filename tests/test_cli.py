@@ -388,6 +388,37 @@ class TestMainExitCodes:
             np.testing.assert_allclose(spectrum(scale, f"{scale:g}"),
                                        scale * unit, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("extents,code", [
+        ([1e-100, 1e-100], 0),  # |W m|^2 underflows in the reflector
+        ([1e100, 1e100], 0),  # and overflows
+        ([1e-150, 1e150], 4),  # the restricted stiffness fails Cholesky
+    ])
+    def test_extreme_extents_dense_solve(self, tmp_path, capsys, extents,
+                                         code):
+        def lambda1(extents, out):
+            cfg = tmp_path / f"{out}.json"
+            cfg.write_text(config_text(
+                domain={"type": "rectangle", "extents": extents,
+                        "shape": [8, 4]}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["solve", "--config", str(cfg),
+                             "--out", str(tmp_path / out)]) == code
+            if code == 0:
+                pair = json.loads(
+                    (tmp_path / out / "eigenpair.json").read_text())
+                return pair["lambda1"]
+            return None
+
+        scaled = lambda1(extents, "scaled")
+        if code == 0:
+            # lambda1 scales like 1 / L^2 on a square of side L
+            assert scaled * extents[0] ** 2 == pytest.approx(
+                lambda1([1.0, 1.0], "unit"), rel=1e-12)
+        else:
+            err = capsys.readouterr().err
+            assert err.startswith("solver error: Cholesky factorization")
+
     def test_shape_over_cell_cap_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "shape.json"
         cfg.write_text(config_text(

@@ -27,13 +27,8 @@ from eigenweight import (
     weight_field,
 )
 from eigenweight import optimize
-from eigenweight.optimize import (
-    _blas_thread_controls,
-    _one_blas_thread,
-    _parallel_runs,
-    _run_restarts,
-    _start_field,
-)
+from eigenweight.optimize import _parallel_runs, _run_restarts, _start_field
+from eigenweight.spectral import _blas_thread_controls, _one_blas_thread
 from oracles import (
     oscillating_layout,
     restart_loop,
@@ -305,9 +300,14 @@ def _recorded_restarts(restarts, *args):
 
 
 def _report_blas_threads(restarts, *args):
-    """The OpenBLAS thread counts and OS threads after a BLAS call."""
+    """The OpenBLAS thread counts and OS threads after a BLAS call and an
+    iterative solve, which enters ``_one_blas_thread`` once more."""
     a = np.ones((256, 256))
     a @ a  # a threaded BLAS call at more than one thread
+    grid = build_grid("interval", [1.0], [32])
+    principal_eigenpair(weight_field(grid, np.where(np.arange(32) < 8, 1.0,
+                                                    -2.0)),
+                        solver="iterative")
     threads = (len(os.listdir("/proc/self/task"))
                if os.path.isdir("/proc/self/task") else 1)
     return (_openblas_thread_counts(), threads), set()
@@ -435,7 +435,8 @@ class TestParallelRestarts:
         finally:
             for (_, set_), count in zip(controls, before):
                 set_(count)
-        # one BLAS thread, and no OpenBLAS helper thread in the worker
+        # one BLAS thread, and no OpenBLAS helper thread in the worker, not
+        # even after the solve's own _one_blas_thread
         assert parts == [(([1] * len(controls), 1), set())] * 2
 
     @pytest.mark.parametrize("restarts", [1, 3])

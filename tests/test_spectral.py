@@ -77,6 +77,44 @@ def rough_bang_bang(grid, seed):
     return weights(grid, np.random.default_rng(seed).permutation(values))
 
 
+def smooth_x1(grid):
+    """-1/2 + 3/2 cos(pi x1 / L1): one sign change along the first axis."""
+    x = grid.cell_centers()[:, 0]
+    return weights(grid, -0.5 + 1.5 * np.cos(np.pi * x / grid.extents[0]))
+
+
+def patchy(grid, seed, patch=4):
+    """``rough_bang_bang`` on blocks of ``patch`` cells per axis."""
+    coarse = [-(-n // patch) for n in grid.shape]
+    cells = np.indices(grid.shape[::-1]).reshape(grid.dim, -1)[::-1]
+    block = np.ravel_multi_index(cells // patch, coarse)
+    n = int(np.prod(coarse))
+    values = np.where(np.arange(n) < max(n // 4, 1), 1.0, -2.0)
+    return weights(grid,
+                   np.random.default_rng(seed).permutation(values)[block])
+
+
+def shift_invert(m, tol=1e-12):
+    """``_shift_invert`` from the loose Ritz value the iterative path
+    starts it with."""
+    S, _ = spectral._dct_operator(m)
+    theta, _ = spectral._arpack_top(S, spectral._SHIFT_TOL)
+    return spectral._shift_invert(m, tol, theta)
+
+
+def arpack_runs(monkeypatch):
+    """Patch ``eigsh`` to record, per call, whether it ran on S."""
+    runs = []
+    eigsh = spla.eigsh
+
+    def recorded(A, *args, **kwargs):
+        runs.append("S" if isinstance(A, spectral._Counted) else "shifted")
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recorded)
+    return runs
+
+
 def assert_dct_diagonalizes_stiffness(grid):
     K = assemble_stiffness(grid).toarray()
     n = grid.n_cells
@@ -423,13 +461,68 @@ class TestDctKernel:
         assert len(set(runs)) == 1
 
     def test_smooth_weight_takes_arpack_path(self):
-        grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
-        x = grid.cell_centers()[:, 0]
-        m = weights(grid, -0.5 + 1.5 * np.cos(np.pi * x / 2.0))
+        m = smooth_x1(build_grid("rectangle", [2.0, 1.0], [64, 32]))
         pair = principal_eigenpair(m, solver="iterative")
         assert pair.stats.path == "arpack"
         assert pair.stats.sigma is None
         assert pair.stats.applies > 0
+
+    def test_smooth_weight_takes_one_arpack_run(self, monkeypatch):
+        # the loose run ends in ARPACK's first cycle and passes the check
+        runs = arpack_runs(monkeypatch)
+        m = smooth_x1(build_grid("rectangle", [2.0, 1.0], [64, 32]))
+        pair = principal_eigenpair(m, solver="iterative")
+        assert runs == ["S"]
+        assert pair.stats.applies == spectral._first_cycle(m.grid.n_cells) + 1
+
+    def test_rough_weight_goes_straight_to_shift_invert(self, monkeypatch):
+        # a random start of the criterion-7 cylinder: no probe at tol
+        runs = arpack_runs(monkeypatch)
+        m = rough_bang_bang(build_grid("rectangle", [2.0, 1.0], [64, 32]), 1)
+        pair = principal_eigenpair(m, solver="iterative")
+        assert runs == ["S", "shifted"]
+        assert pair.stats.path == "shift-invert"
+        assert pair.stats.halvings == 0
+
+    def test_patchy_weight_is_refined_on_s(self, monkeypatch):
+        # the loose run ends in its first cycle short of tol
+        runs = arpack_runs(monkeypatch)
+        m = patchy(build_grid("rectangle", [2.0, 1.0], [64, 32]), 0, 8)
+        pair = principal_eigenpair(m, solver="iterative")
+        assert runs == ["S", "S"]
+        assert pair.stats.path == "arpack"
+        assert_matches_dense(pair, m)
+
+    def test_stalled_refinement_falls_back_to_shift_invert(self,
+                                                            monkeypatch):
+        eigsh = spla.eigsh
+
+        def stalled_refinement(A, *args, **kwargs):
+            if "maxiter" in kwargs:
+                raise spla.ArpackNoConvergence("stalled", np.empty(0),
+                                               np.empty((A.shape[0], 0)))
+            return eigsh(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", stalled_refinement)
+        runs = arpack_runs(monkeypatch)
+        m = patchy(build_grid("rectangle", [2.0, 1.0], [64, 32]), 0, 8)
+        pair = principal_eigenpair(m, solver="iterative")
+        assert runs == ["S", "S", "shifted"]
+        assert pair.stats.path == "shift-invert"
+        assert_matches_dense(pair, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_spec=st.sampled_from(ROUGH_GRIDS),
+           kind=st.sampled_from(["smooth", "patchy", "rough"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_path_matches_dense(self, grid_spec, kind, seed):
+        grid = build_grid(*grid_spec)
+        m = {"smooth": lambda: smooth_x1(grid),
+             "patchy": lambda: patchy(grid, seed, 2),
+             "rough": lambda: rough_bang_bang(grid, seed)}[kind]()
+        pair = principal_eigenpair(m, solver="iterative")
+        event(f"{kind} path {pair.stats.path}")
+        assert_matches_dense(pair, m)
 
     def test_dense_path_reports_no_applies(self, interval64, rng):
         m = weights(interval64, random_admissible(rng, 64))
@@ -461,7 +554,7 @@ class TestShiftInvert:
         grid = build_grid(kind, extents, shape)
         for seed in range(3):
             m = rough_bang_bang(grid, seed)
-            pair = spectral._shift_invert(m, 1e-12)
+            pair = shift_invert(m)
             assert_matches_dense(pair, m)
             assert pair.stats.path == "shift-invert"
             assert 0 < pair.stats.sigma < pair.lambda1
@@ -473,7 +566,7 @@ class TestShiftInvert:
         grid = build_grid(*grid_spec)
         rng = np.random.default_rng(seed)
         m = weights(grid, random_admissible(rng, grid.n_cells))
-        assert_matches_dense(spectral._shift_invert(m, 1e-12), m)
+        assert_matches_dense(shift_invert(m), m)
 
     def test_inertia_counts_pencil_eigenvalues_below_shift(self):
         grid = build_grid("rectangle", [2.0, 1.0], [16, 8])
@@ -487,12 +580,15 @@ class TestShiftInvert:
 
     def test_rejected_shift_is_halved(self, monkeypatch):
         m = rough_bang_bang(build_grid("rectangle", [2.0, 1.0], [16, 8]), 0)
-        first = spectral._shift_invert(m, 1e-12)
+        share = spectral._SHIFT_SHARE
+        first = shift_invert(m)
+        assert first.stats.halvings == 0
         # 3/theta and 1.5/theta lie above lambda1, 0.75/theta below it
         monkeypatch.setattr(spectral, "_SHIFT_SHARE", 3.0)
-        halved = spectral._shift_invert(m, 1e-12)
+        halved = shift_invert(m)
+        assert halved.stats.halvings == 2
         assert halved.stats.sigma == pytest.approx(
-            first.stats.sigma * 0.75 / 0.9, rel=1e-14)
+            first.stats.sigma * 0.75 / share, rel=1e-14)
         assert_matches_dense(halved, m)
 
     def test_fallback_no_convergence_is_iteration_limit(self, monkeypatch):
@@ -507,7 +603,7 @@ class TestShiftInvert:
 
         monkeypatch.setattr(spla, "eigsh", stalled_when_shifted)
         with pytest.raises(IterationLimit):
-            spectral._shift_invert(m, 1e-12)
+            shift_invert(m)
 
 
 class TestSignedSpectrum:
@@ -680,8 +776,23 @@ print(repr(rayleigh_quotient(m, f)))
 """
 
 
-def test_reductions_independent_of_blas_threads():
-    # 16384 cells: long enough that a BLAS ddot would run threaded
+#: a child solve of a seeded rough 128x80 weight: the repr of lambda1 and
+#: the sha256 of u's bytes
+_SOLVE_CHILD = """
+import hashlib
+import numpy as np
+from eigenweight import build_grid, principal_eigenpair, weight_field
+grid = build_grid("rectangle", [2.0, 1.0], [128, 80])
+m = weight_field(grid, np.random.default_rng(0).permutation(
+    np.where(np.arange(grid.n_cells) < grid.n_cells // 4, 1.0, -2.0)))
+pair = principal_eigenpair(m, solver="iterative")
+print(repr(pair.lambda1))
+print(hashlib.sha256(pair.u.tobytes()).hexdigest())
+"""
+
+
+def child_outputs_at_blas_threads(child: str) -> list:
+    """The stdout of ``child`` run at one and at two OpenBLAS threads."""
     src = str(Path(eigenweight.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -690,6 +801,18 @@ def test_reductions_independent_of_blas_threads():
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         outputs.append(subprocess.run(
-            [sys.executable, "-c", _REDUCTIONS_CHILD], env=env, check=True,
+            [sys.executable, "-c", child], env=env, check=True,
             capture_output=True, text=True).stdout)
+    return outputs
+
+
+def test_reductions_independent_of_blas_threads():
+    # 16384 cells: long enough that a BLAS ddot would run threaded
+    outputs = child_outputs_at_blas_threads(_REDUCTIONS_CHILD)
+    assert outputs[0] == outputs[1]
+
+
+def test_iterative_solve_independent_of_blas_threads():
+    # 10240 cells: ARPACK's own BLAS calls would run threaded
+    outputs = child_outputs_at_blas_threads(_SOLVE_CHILD)
     assert outputs[0] == outputs[1]
