@@ -54,6 +54,9 @@ CONFIG_VERSION = 1
 
 COMMANDS = ("solve", "optimize", "rearrange", "simulate", "verify")
 
+#: most restarts one optimize may ask for; each restart runs its own sweeps
+MAX_RESTARTS = 10_000
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -123,13 +126,16 @@ def _number(value, key: str) -> float:
             f"{value.bit_length()}-bit integer") from exc
 
 
-def _integer(value, key: str, minimum: int) -> int:
-    """A whole number of at least ``minimum``, or a ValidationError."""
+def _integer(value, key: str, minimum: int, maximum=None) -> int:
+    """A whole number in [minimum, maximum], or a ValidationError."""
     number = _number(value, key)
     if not (number.is_integer() and number >= minimum):
         raise errors.ValidationError(
             f"{key} must be a whole number of at least {minimum}, "
             f"got {value!r}")
+    if maximum is not None and number > maximum:
+        raise errors.ValidationError(
+            f"{key} must be at most {maximum}, got {value!r}")
     return int(number)
 
 
@@ -201,7 +207,7 @@ _OPTIONS = {
         "solver": ("dense", partial(_choice, allowed=SOLVERS)),
         "tol": (1e-12, _tolerance),
         "max_iters": (200, partial(_integer, minimum=0)),
-        "restarts": (1, partial(_integer, minimum=1)),
+        "restarts": (1, partial(_integer, minimum=1, maximum=MAX_RESTARTS)),
         "seed": (0, partial(_integer, minimum=0)),
     },
     "rearrange": {

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -129,21 +128,18 @@ def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
 
 def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
                   max_iters: int, tol: float, solver: str) -> tuple:
-    """The fixed-point sweeps of the listed restarts, one after another.
-
-    Returns the best run as (mu1, restart, m, pair, trace, converged),
-    ties toward the restart listed first, and the sha256 digests of the
-    arrangements solved.  The restarts share one memo from digest to
-    eigenpair: a restart that reaches an arrangement solved before reuses
-    the pair and follows the earlier path with sweeps alone.
-    """
+    """The fixed-point sweeps of the restarts an iterable yields in
+    increasing order (the whole range, or a worker's claims).  Returns
+    the best run as (mu1, restart, m, pair, trace, converged), ties
+    toward the earlier restart (None if none ran), and the sha256 digests
+    of the arrangements solved.  The restarts share one memo from digest
+    to eigenpair: a restart that reaches an arrangement solved before
+    reuses the pair and follows the earlier path with sweeps alone."""
     solved = {}
     best = None
     for restart in restarts:
         m = _start_field(cls, grid, restart, seed)
-        trace = []
-        changed = 0
-        converged = False
+        trace, changed, converged = [], 0, False
         for it in range(max_iters + 1):
             key = hashlib.sha256(m.tobytes()).digest()
             pair = solved.get(key)
@@ -172,39 +168,53 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parallel_runs(workers: int, restarts: int, args: tuple):
-    """``_run_restarts`` on one fixed slice per forked worker process, or
-    None when no such pool can run.
-
-    Worker w runs restarts w, w + workers, ..., so the pool takes
-    ``workers`` tasks whatever ``restarts`` is, and each worker's memo
-    lives for its one call.  Errors raised by a restart propagate
-    unchanged.  Workers are forked, not spawned: a spawned worker imports
-    numpy and scipy afresh, which takes longer than a restart, and the
-    executor forks its workers before it starts its own thread.  The task
-    is pickled once before the pool starts, so one that cannot be pickled
-    raises here: two such tasks in the pool would hang its shutdown.
-    """
-    # imported here: a run that never forks loads neither (half a MB)
-    import multiprocessing
-    from concurrent.futures.process import (BrokenProcessPool,
-                                            ProcessPoolExecutor)
-
+def _worker(counter, restarts: int, args: tuple, conn) -> None:
+    """A forked worker: ``_run_restarts`` on the restarts it claims one at
+    a time from the shared counter, each index by one worker only; sends
+    the result, or the error it raised, through ``conn``."""
+    def claimed():
+        while True:
+            with counter.get_lock():
+                restart, counter.value = counter.value, counter.value + 1
+            if restart >= restarts:
+                return
+            yield restart
     try:
+        conn.send(_run_restarts(claimed(), *args))
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _parallel_runs(workers: int, restarts: int, args: tuple):
+    """``_run_restarts`` in ``workers`` forked processes that claim the
+    restarts from one shared counter, or None when they cannot run (no
+    fork, or a worker died); an error a restart raises propagates."""
+    import multiprocessing  # here: a run that never forks does not load it
+    try:  # forked, not spawned: a spawned worker's imports outlast a restart
         context = multiprocessing.get_context("fork")
     except ValueError:
         return None
-    pickle.dumps((_run_restarts, args))
-    pool = ProcessPoolExecutor(workers, mp_context=context)
+    counter = context.Value("q", 0)
+    processes, readers, runs = [], [], []
     try:
-        tasks = [pool.submit(_run_restarts, range(w, restarts, workers),
-                             *args)
-                 for w in range(workers)]
-        return [task.result() for task in tasks]
-    except (OSError, BrokenProcessPool):
+        for _ in range(workers):
+            reader, writer = context.Pipe(duplex=False)
+            processes.append(context.Process(
+                target=_worker, args=(counter, restarts, args, writer)))
+            processes[-1].start()
+            writer.close()  # before the next fork, so only its worker holds it
+            readers.append(reader)
+        for reader in readers:
+            runs.append(reader.recv())
+            if isinstance(runs[-1], Exception):
+                raise runs[-1]
+    except (OSError, EOFError):
         return None
     finally:
-        pool.shutdown(cancel_futures=True)
+        for process in processes:
+            process.terminate()
+            process.join()
+    return runs
 
 
 def minimize_lambda1(cls: RearrangementClass, grid: Grid,
@@ -221,14 +231,11 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     ``max_iters`` is reported through ``converged=False``, not an error.
 
     Restarts are independent until they are compared, so they run in
-    W = min(restarts, usable CPUs) forked worker processes, worker w
-    taking restarts w, w + W, ..., or inline when W is one or no process
-    pool can start; either way several restarts solve at one BLAS thread.
-    Solves are deterministic at a fixed BLAS thread count, so no outcome
-    depends on which worker ran a restart, and each distinct arrangement
-    is solved at most once per slice: a restart that reaches an
-    arrangement its slice has seen reuses the eigenpair and follows the
-    earlier path with sweeps alone.
+    W = min(restarts, usable CPUs) forked workers, each claiming the next
+    unclaimed restart whenever it ends one, or inline when W is one or no
+    worker starts; either way several restarts solve at one BLAS thread.
+    Solves are deterministic, so no outcome depends on which worker ran a
+    restart, and a worker solves each distinct arrangement only once.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(
@@ -238,25 +245,18 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
 
     args = (cls, grid, seed, max_iters, tol, solver)
     workers = min(restarts, _usable_cpus())
-    # one BLAS thread wherever the restarts run, so the CPU count cannot
-    # change the bytes
+    # one BLAS thread wherever restarts run: the CPU count changes no byte
     with _one_blas_thread() if restarts > 1 else nullcontext():
-        parts = _parallel_runs(workers, restarts, args) if workers > 1 \
-            else None
-        if parts is None:
-            parts = [_run_restarts(range(restarts), *args)]
+        parts = (workers > 1 and _parallel_runs(workers, restarts, args)
+                 or [_run_restarts(range(restarts), *args)])
     _, _, m, pair, trace, converged = max(
-        (run for run, _ in parts), key=lambda run: (run[0], -run[1]))
+        (run for run, _ in parts if run), key=lambda run: (run[0], -run[1]))
     return OptimizationResult(
-        final_m=m,
-        final_pair=pair,
-        trace=trace,
-        converged=converged,
+        final_m=m, final_pair=pair, trace=trace, converged=converged,
         restarts_used=restarts,
         solves=len(set().union(*(seen for _, seen in parts))),
         comonotone_violations=count_comonotone_violations(m, pair.u, grid),
-        monotone_x1=check_monotone_x1(m, grid),
-    )
+        monotone_x1=check_monotone_x1(m, grid))
 
 
 def oscillating_arrangement(cls: RearrangementClass, grid: Grid,

@@ -574,10 +574,13 @@ def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
         A, S, lift = _dense_pencil(m)
         top = A.shape[0] - 1
         vals, vecs = _eigh_in_place(A, S, subset_by_index=[top, top])
-        mu1 = float(vals[0])
-        if mu1 <= 0:  # pragma: no cover - admissible weights have mu1 > 0
+        if vals[0] <= 0:  # pragma: no cover - admissible weights have mu1 > 0
             raise NoPositivePart("pencil has no positive eigenvalue")
-        return _finalize_eigenpair(m, mu1, lift(vecs[:, 0]),
+        # eigh's eigenvalue carries the error of the Cholesky factor of S,
+        # whose condition grows like n^2; the Rayleigh quotient of its
+        # vector errs only by the square of the vector's error
+        u = lift(vecs[:, 0])
+        return _finalize_eigenpair(m, rayleigh_quotient(m, u), u,
                                    SolveStats("dense"))
     if solver == "iterative":
         with _one_blas_thread():

@@ -62,15 +62,17 @@ def gemm_pencil(m):
 def copied_dense_eigenpair(m):
     """The dense principal eigenpair with ``eigh`` run on C-ordered copies
     of the pencil, which it copies again into Fortran order before LAPACK
-    factors them."""
+    factors them; mu1 is the Rayleigh quotient of the lifted vector."""
     unit, exp = spectral._unit_weight(m)
     A, S, lift = spectral._dense_pencil(unit)
     top = A.shape[0] - 1
-    vals, vecs = scipy.linalg.eigh(np.ascontiguousarray(A),
-                                   np.ascontiguousarray(S),
-                                   subset_by_index=[top, top])
-    pair = spectral._finalize_eigenpair(unit, vals[0], lift(vecs[:, 0]),
-                                        spectral.SolveStats("dense"))
+    _, vecs = scipy.linalg.eigh(np.ascontiguousarray(A),
+                                np.ascontiguousarray(S),
+                                subset_by_index=[top, top])
+    u = lift(vecs[:, 0])
+    pair = spectral._finalize_eigenpair(unit,
+                                        spectral.rayleigh_quotient(unit, u),
+                                        u, spectral.SolveStats("dense"))
     return float(np.ldexp(pair.mu1, exp)), pair.u, pair.residual
 
 

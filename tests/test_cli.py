@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from eigenweight import (ParseError, ValidationError, errors,
                          principal_eigenpair, simulate_logistic, verify,
                          weight_field)
-from eigenweight.cli import _number, _numbers, execute, main, parse_config
+from eigenweight.cli import (MAX_RESTARTS, _number, _numbers, execute, main,
+                             parse_config)
 from eigenweight.serialize import read_field_csv
 
 BASE_CONFIG = {
@@ -570,6 +571,22 @@ class TestMainExitCodes:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 3
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("restarts", [MAX_RESTARTS + 1, 2 ** 70])
+    def test_restarts_above_cap_exit_3(self, tmp_path, capsys, restarts):
+        cfg = tmp_path / "restarts.json"
+        cfg.write_text(config_text(optimize=dict(
+            BASE_CONFIG["optimize"], restarts=restarts)))
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"optimize.restarts must be at most {MAX_RESTARTS}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_restarts_at_cap_accepted(self):
+        config = parse_config(config_text(optimize=dict(
+            BASE_CONFIG["optimize"], restarts=MAX_RESTARTS)))
+        assert config.optimize["restarts"] == MAX_RESTARTS
 
     @pytest.mark.parametrize("section,key", [
         (None, "solv"), ("domain", "size"), ("weight", "value"),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenweight import (
     InvalidSpec,
@@ -16,6 +18,7 @@ from eigenweight import (
     weight_field,
 )
 from eigenweight.logistic import _diffusion_symbol, _implicit_diffusion
+from oracles import random_admissible
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,38 @@ def test_extinction_below_threshold(setup_1d):
                              t_end=400 / gamma)
     assert traj.outcome == "extinct"
     assert traj.clamp_events == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(2, 64)),
+                       st.tuples(st.integers(2, 8), st.integers(2, 8))),
+       extents=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_threshold_on_drawn_weights(shape, extents, seed):
+    # each horizon comes from the rate sigma of the linearization at v = 0,
+    # the top eigenvalue of gamma diag(m) - K / w: 30 / |sigma| takes the
+    # mass below 1e-9 of its start, 20 / sigma lifts a start up to the
+    # steady state.  The persistent run starts from the subsolution
+    # (sigma / 2 gamma) phi / max(phi), so its mass never falls and the
+    # classifier's trend test cannot leave it undecided
+    grid = build_grid(("interval", "rectangle")[len(shape) - 1],
+                      extents[:len(shape)], shape)
+    values = random_admissible(np.random.default_rng(seed), grid.n_cells)
+    m = weight_field(grid, values)
+    lam1 = principal_eigenpair(m).lambda1
+    K = assemble_stiffness(grid).toarray() / grid.cell_measure
+    for factor, horizon, outcome in ((0.5, 30, "extinct"),
+                                     (1.5, 20, "persistent")):
+        gamma = factor * lam1
+        rates, modes = np.linalg.eigh(gamma * np.diag(values) - K)
+        sigma, phi = rates[-1], np.abs(modes[:, -1])
+        assert (sigma > 0) == (factor > 1)
+        v0 = (0.5 * sigma / gamma * phi / phi.max() if factor > 1
+              else np.full(grid.n_cells, 0.01))
+        t_end = horizon / abs(sigma)
+        traj = simulate_logistic(m, gamma, v0, dt=t_end / 100, t_end=t_end)
+        assert traj.outcome == outcome
+        assert traj.clamp_events == 0
 
 
 def test_early_growth_sign_matches_linearization(setup_1d):

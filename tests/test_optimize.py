@@ -1,10 +1,10 @@
 import itertools
-import json
 import multiprocessing.context
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,8 @@ from eigenweight import (
     weight_field,
 )
 from eigenweight import optimize
-from eigenweight.optimize import _parallel_runs, _run_restarts, _start_field
+from eigenweight.optimize import (_parallel_runs, _run_restarts,
+                                  _start_field, _worker)
 from eigenweight.spectral import _blas_thread_controls, _one_blas_thread
 from oracles import (
     oscillating_layout,
@@ -286,17 +287,51 @@ def _openblas_thread_counts() -> list:
     return [get() for get, _ in _blas_thread_controls()]
 
 
-# Tasks that stand in for ``_run_restarts`` live at module level: a
-# worker's task is pickled by reference, and a local function has none.
+# Stand-ins for ``_worker`` and ``_run_restarts``; they run in forked
+# workers.
+
+#: (shared counter, restarts) as this process's ``_patient_worker`` got them
+_HELD = []
+
 
 def _recorded_restarts(restarts, *args):
-    """``_run_restarts``, recording its slice, the restart of the run it
-    returns, the run's length and its process in $SLICE_RECORDS."""
-    run, seen = _run_restarts(restarts, *args)
-    record = [list(restarts), run[1], len(run), os.getpid()]
-    path = Path(os.environ["SLICE_RECORDS"], f"{restarts[0]}.json")
-    path.write_text(json.dumps(record))
-    return run, seen
+    """``_run_restarts``, recording each restart it takes as a file
+    <restart>.<pid> in $CLAIM_RECORDS; a second take by one process
+    fails."""
+    def recorded():
+        for restart in restarts:
+            Path(os.environ["CLAIM_RECORDS"],
+                 f"{restart}.{os.getpid()}").touch(exist_ok=False)
+            yield restart
+    return _run_restarts(recorded(), *args)
+
+
+def _patient_worker(counter, restarts, *args):
+    """``_worker``, keeping its counter where ``_patient_restarts`` finds
+    it."""
+    _HELD.append((counter, restarts))
+    _worker(counter, restarts, *args)
+
+
+def _patient_restarts(restarts, *args):
+    """``_recorded_restarts`` whose taker of restart 0 holds it until the
+    counter reaches the restart count, for at most 60 s."""
+    counter, total = _HELD[-1]
+
+    def patient():
+        for restart in restarts:
+            deadline = time.monotonic() + 60
+            while (restart == 0 and counter.value < total
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            yield restart
+    return _recorded_restarts(patient(), *args)
+
+
+def _claim_records(path: Path) -> list:
+    """(restart, pid) of every take ``_recorded_restarts`` recorded."""
+    return sorted(tuple(map(int, record.name.split(".")))
+                  for record in path.iterdir())
 
 
 def _report_blas_threads(restarts, *args):
@@ -313,15 +348,28 @@ def _report_blas_threads(restarts, *args):
     return (_openblas_thread_counts(), threads), set()
 
 
-#: a child that runs ``_parallel_runs`` on a stand-in pickle refuses (a
-#: lambda has no name to be found by) and prints the error it raised
+#: a child that runs ``_parallel_runs`` on an input pickle refuses (a
+#: lambda has no name to be found by), with a stand-in that returns it and
+#: with one that raises an error pickle refuses, and prints how each ended
 _UNPICKLABLE_CHILD = """
 from eigenweight import optimize
-optimize._run_restarts = lambda restarts, *args: (None, set())
-try:
-    optimize._parallel_runs(2, 4, ())
-except Exception as exc:
-    print(type(exc).__name__, exc)
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this error cannot be pickled")
+
+def returns_input(claims, *args):
+    return args[0], set(claims)
+
+def raises(claims, *args):
+    raise Unpicklable()
+
+for stand_in in (returns_input, raises):
+    optimize._run_restarts = stand_in
+    try:
+        print("returned", optimize._parallel_runs(2, 4, (lambda: None,)))
+    except Exception as exc:
+        print("raised", type(exc).__name__)
 """
 
 
@@ -380,28 +428,46 @@ class TestParallelRestarts:
         _optimize_on(monkeypatch, cpus, cls, grid, restarts=restarts)
         assert len(starts) == started
 
-    def test_each_worker_runs_one_fixed_slice(self, monkeypatch, tmp_path):
+    def test_each_restart_is_claimed_once_by_a_worker(self, monkeypatch,
+                                                      tmp_path):
         grid = build_grid("interval", [1.0], [32])
         cls, _ = bang_bang_class(grid, 8)
         inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=8, seed=4)
-        monkeypatch.setenv("SLICE_RECORDS", str(tmp_path))
+        monkeypatch.setenv("CLAIM_RECORDS", str(tmp_path))
         monkeypatch.setattr(optimize, "_run_restarts", _recorded_restarts)
         result = _optimize_on(monkeypatch, 3, cls, grid, restarts=8, seed=4)
-        records = sorted(json.loads(path.read_text())
-                         for path in tmp_path.iterdir())
-        # worker w runs restarts w, w + 3, ...; it returns one run, a
-        # (mu1, restart, m, pair, trace, converged) from its slice
-        assert [slice_ for slice_, _, _, _ in records] \
-            == [[0, 3, 6], [1, 4, 7], [2, 5]]
-        for slice_, restart, fields, pid in records:
-            assert restart in slice_ and fields == 6 and pid != os.getpid()
+        records = _claim_records(tmp_path)
+        assert [restart for restart, _ in records] == list(range(8))
+        assert os.getpid() not in {pid for _, pid in records}
         assert result.final_m.tobytes() == inline.final_m.tobytes()
+        assert result.final_pair.u.tobytes() == inline.final_pair.u.tobytes()
         assert result.trace == inline.trace
         assert result.solves == inline.solves
 
-    def test_unpicklable_task_raises(self):
-        # both tasks fail to pickle; a pool that received them hung in its
-        # shutdown, so the child runs in its own session, killed if late
+    def test_a_free_worker_claims_every_restart_left(self, monkeypatch,
+                                                     tmp_path):
+        # the taker of restart 0 holds it until every index is claimed, so
+        # the other worker must have claimed all the rest
+        grid = build_grid("interval", [1.0], [32])
+        cls, _ = bang_bang_class(grid, 8)
+        inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=6, seed=1)
+        monkeypatch.setenv("CLAIM_RECORDS", str(tmp_path))
+        monkeypatch.setattr(optimize, "_worker", _patient_worker)
+        monkeypatch.setattr(optimize, "_run_restarts", _patient_restarts)
+        start = time.monotonic()
+        result = _optimize_on(monkeypatch, 2, cls, grid, restarts=6, seed=1)
+        assert time.monotonic() - start < 60, "restart 0 waited in vain"
+        records = _claim_records(tmp_path)
+        assert [restart for restart, _ in records] == list(range(6))
+        holder = records[0][1]
+        others = {pid for _, pid in records[1:]}
+        assert len(others) == 1 and holder not in others
+        assert os.getpid() not in others | {holder}
+        assert result.final_m.tobytes() == inline.final_m.tobytes()
+        assert result.trace == inline.trace
+
+    def test_unpicklable_input_or_result_never_hangs(self):
+        # the child runs in its own session, killed if late
         src = str(Path(optimize.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -414,9 +480,14 @@ class TestParallelRestarts:
         except subprocess.TimeoutExpired:
             os.killpg(child.pid, signal.SIGKILL)
             child.communicate()
-            pytest.fail("_parallel_runs hung on tasks it cannot pickle")
+            pytest.fail("_parallel_runs hung on what it cannot pickle")
         assert child.returncode == 0, err
-        assert "pickle" in out.lower(), out
+        # a worker pickles its result and its error: one it cannot pickle
+        # is raised, or ends the worker and the call falls back inline
+        lines = out.splitlines()
+        assert len(lines) == 2, out
+        for line in lines:
+            assert line.startswith("raised") or line == "returned None", out
 
     def test_workers_inherit_one_blas_thread(self, monkeypatch):
         controls = _blas_thread_controls()

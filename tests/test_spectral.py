@@ -203,6 +203,18 @@ class TestPrincipalEigenpair:
         pair = principal_eigenpair(m)
         assert abs(pair.lambda1 - lam_star) / lam_star < 1e-3
 
+    def test_dense_mu1_matches_tight_iterative_solve_at_1024_cells(self):
+        # criterion 1's weight: eigh's own eigenvalue sat 1.4e-10 to 2.3e-10
+        # off here, the Rayleigh quotient of its vector 4e-12
+        grid = build_grid("interval", [1.0], [1024])
+        x = grid.cell_centers()[:, 0]
+        m = weights(grid, np.where(x < 0.5, 1.0, -3.0))
+        dense = principal_eigenpair(m, solver="dense")
+        iterative = principal_eigenpair(m, solver="iterative", tol=1e-15)
+        assert abs(dense.mu1 - iterative.mu1) <= 1e-11 * iterative.mu1
+        assert dense.mu1 == pytest.approx(rayleigh_quotient(m, dense.u),
+                                          rel=1e-14)
+
     def test_eigenpair_identities(self, interval64, rng):
         K = assemble_stiffness(interval64)
         w = interval64.cell_measure
