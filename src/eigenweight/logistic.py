@@ -69,8 +69,10 @@ def _diffusion_symbol(grid: Grid, dt: float) -> np.ndarray:
 
 def _implicit_diffusion(grid: Grid, symbol: np.ndarray,
                         rhs: np.ndarray) -> np.ndarray:
-    """Solve (W/dt + K) v = rhs, given ``_diffusion_symbol(grid, dt)``."""
-    return from_dct(grid, to_dct(grid, rhs) / symbol)
+    """Solve (W/dt + K) v = rhs in rhs; symbol from ``_diffusion_symbol``."""
+    c = to_dct(grid, rhs, overwrite=True)
+    c /= symbol
+    return from_dct(grid, c, overwrite=True)
 
 
 def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAdmissibleClass, IndivisibleStripes
-from .grid import Grid, as_field
+from .grid import Grid, as_field, assemble_stiffness
 from .rearrange import RearrangementClass, comonotone_arrangement
-from .spectral import (EigenPair, _one_blas_thread, principal_eigenpair,
-                       weight_field)
+from .spectral import (EigenPair, _mode_scale, _one_blas_thread,
+                       principal_eigenpair, weight_field)
 
 
 #: per-line label indexed by 2 * nonincreasing + nondecreasing
@@ -171,7 +171,7 @@ def _usable_cpus() -> int:
 def _worker(counter, restarts: int, args: tuple, conn) -> None:
     """A forked worker: ``_run_restarts`` on the restarts it claims one at
     a time from the shared counter, each index by one worker only; sends
-    the result, or the error it raised, through ``conn``."""
+    the result through ``conn``, or ends the claims and sends the error."""
     def claimed():
         while True:
             with counter.get_lock():
@@ -182,14 +182,16 @@ def _worker(counter, restarts: int, args: tuple, conn) -> None:
     try:
         conn.send(_run_restarts(claimed(), *args))
     except Exception as exc:
+        with counter.get_lock():
+            counter.value = restarts
         conn.send(exc)
 
 
 def _parallel_runs(workers: int, restarts: int, args: tuple):
     """``_run_restarts`` in ``workers`` forked processes that claim the
     restarts from one shared counter, or None when they cannot run (no
-    fork, or a worker died); an error a restart raises propagates."""
-    import multiprocessing  # here: a run that never forks does not load it
+    fork, or a worker died); the first error to arrive propagates."""
+    import multiprocessing.connection  # only a run that forks loads it
     try:  # forked, not spawned: a spawned worker's imports outlast a restart
         context = multiprocessing.get_context("fork")
     except ValueError:
@@ -204,10 +206,12 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
             processes[-1].start()
             writer.close()  # before the next fork, so only its worker holds it
             readers.append(reader)
-        for reader in readers:
-            runs.append(reader.recv())
-            if isinstance(runs[-1], Exception):
-                raise runs[-1]
+        while readers:
+            for reader in multiprocessing.connection.wait(readers):
+                readers.remove(reader)
+                runs.append(reader.recv())
+                if isinstance(runs[-1], Exception):
+                    raise runs[-1]
     except (OSError, EOFError):
         return None
     finally:
@@ -245,6 +249,9 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
 
     args = (cls, grid, seed, max_iters, tol, solver)
     workers = min(restarts, _usable_cpus())
+    # the grid's constants, built before the workers fork to be inherited
+    assemble_stiffness(grid)
+    _mode_scale(grid, -0.5)
     # one BLAS thread wherever restarts run: the CPU count changes no byte
     with _one_blas_thread() if restarts > 1 else nullcontext():
         parts = (workers > 1 and _parallel_runs(workers, restarts, args)

@@ -9,6 +9,7 @@ relation compares prefix sums of sorted values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,6 +135,14 @@ def check_majorization(g, f, grid: Grid) -> MajorizationReport:
     )
 
 
+@lru_cache(maxsize=32)
+def _dealt_values(cls: RearrangementClass, grid: Grid) -> np.ndarray:
+    """``cls.cell_values(grid)``, computed once for all sweeps, read-only."""
+    values = cls.cell_values(grid)
+    values.setflags(write=False)
+    return values
+
+
 def comonotone_arrangement(cls: RearrangementClass, u, grid: Grid) -> np.ndarray:
     """The class member maximizing the u-weighted integral.
 
@@ -143,7 +152,7 @@ def comonotone_arrangement(cls: RearrangementClass, u, grid: Grid) -> np.ndarray
     Hardy-Littlewood inequality.
     """
     u = as_field(grid, u)
-    values = cls.cell_values(grid)
+    values = _dealt_values(cls, grid)
     order = np.argsort(-u, kind="stable")
     out = np.empty(grid.n_cells)
     out[order] = values

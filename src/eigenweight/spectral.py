@@ -54,7 +54,7 @@ from __future__ import annotations
 import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -243,11 +243,13 @@ def project_mean_zero(m: WeightField, f) -> np.ndarray:
     return f - _dot(q, f) / m.integral
 
 
+@lru_cache(maxsize=32)
 def _mode_scale(grid: Grid, exponent: float) -> np.ndarray:
     """Lambda^exponent on the non-constant DCT modes; 0 on the constant."""
     lam = dct_eigenvalues(grid)
     out = np.zeros_like(lam)
     out.flat[1:] = lam.flat[1:] ** exponent
+    out.setflags(write=False)
     return out
 
 
@@ -266,7 +268,9 @@ def solution_operator(m: WeightField, f) -> np.ndarray:
     q = _weighted_values(m)
     g = q * f
     g -= q * (g.sum() / m.integral)
-    u = from_dct(m.grid, to_dct(m.grid, g) * _mode_scale(m.grid, -1.0))
+    c = to_dct(m.grid, g, overwrite=True)
+    c *= _mode_scale(m.grid, -1.0)
+    u = from_dct(m.grid, c, overwrite=True)
     return np.ldexp(project_mean_zero(m, u), exp)
 
 
@@ -417,27 +421,35 @@ class _Counted(spla.LinearOperator):
         self.fn = fn
         self.applies = 0
 
-    def _matvec(self, x):
+    def matvec(self, x):  # without LinearOperator.matvec's checks and copies
         self.applies += 1
         return self.fn(x)
+
+    _matvec = matvec
 
 
 def _dct_operator(m: WeightField):
     """S (module docstring) as a counted operator, and the map y -> u.
 
     S acts on all DCT coefficients with the constant mode zeroed, which
-    only adds the eigenvalue 0 below mu1 > 0.
+    only adds the eigenvalue 0 below mu1 > 0.  An apply works in place on
+    one fresh array: y is a slice of ARPACK's Krylov basis, never changed.
     """
     grid = m.grid
     q = _weighted_values(m)
     scale = _mode_scale(grid, -0.5)
 
     def to_vm(y):
-        u = from_dct(grid, y.reshape(scale.shape) * scale)
-        return u - _dot(q, u) / m.integral
+        u = from_dct(grid, y.reshape(scale.shape) * scale, overwrite=True)
+        u -= _dot(q, u) / m.integral
+        return u
 
     def matvec(y):
-        return (to_dct(grid, q * to_vm(y)) * scale).ravel()
+        u = to_vm(y)
+        u *= q
+        c = to_dct(grid, u, overwrite=True)
+        c *= scale
+        return c.ravel()
 
     return _Counted(matvec, grid.n_cells), to_vm
 
@@ -452,7 +464,7 @@ def _arpack_top(A, tol: float, v0=None, **kwargs):
     nonpositive one raises SingularSystem.
     """
     if v0 is None:
-        v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(A.shape[0])
+        v0 = _start_vector(A.shape[0])
     vals, vecs = spla.eigsh(A, k=1, which="LA", tol=tol, v0=v0,
                             rng=np.random.default_rng(_ARPACK_SEED),
                             **kwargs)
@@ -460,6 +472,14 @@ def _arpack_top(A, tol: float, v0=None, **kwargs):
         raise SingularSystem(
             "iterative solver converged to a nonpositive eigenvalue")
     return float(vals[0]), vecs[:, 0]
+
+
+@lru_cache(maxsize=32)
+def _start_vector(n: int) -> np.ndarray:
+    """ARPACK's seeded start vector of length n, read-only."""
+    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(n)
+    v0.setflags(write=False)
+    return v0
 
 
 def _first_cycle(n: int) -> int:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from eigenweight import (
     build_grid,
     integrate,
 )
-from eigenweight.grid import MAX_CELLS
+from eigenweight.grid import MAX_CELLS, from_dct, to_dct
 
 
 def lines_run_along_x1(grid) -> bool:
@@ -215,3 +216,41 @@ def test_integrate_linear(data):
     left = integrate(grid, a * f + b * g)
     right = a * integrate(grid, f) + b * integrate(grid, g)
     assert abs(left - right) <= 1e-12 * max(1.0, abs(left), abs(right))
+
+
+#: an odd-length interval, a rectangle and a box
+TRANSFORM_GRIDS = [
+    ("interval", [1.0], [7]),
+    ("rectangle", [2.0, 1.0], [6, 5]),
+    ("box", [1.0, 0.7, 1.3], [4, 3, 5]),
+]
+
+
+@pytest.mark.parametrize("kind,extents,shape", TRANSFORM_GRIDS)
+def test_transforms_match_scipy_fft_bytes(kind, extents, shape, rng):
+    grid = build_grid(kind, extents, shape)
+    f = rng.standard_normal(grid.n_cells)
+    c = to_dct(grid, f)
+    assert c.tobytes() == scipy.fft.dctn(f.reshape(grid.shape[::-1]),
+                                         norm="ortho").tobytes()
+    u = from_dct(grid, c)
+    assert u.shape == (grid.n_cells,)
+    assert u.tobytes() == scipy.fft.idctn(c, norm="ortho").ravel().tobytes()
+
+
+@pytest.mark.parametrize("kind,extents,shape", TRANSFORM_GRIDS)
+def test_transforms_in_place_only_when_asked(kind, extents, shape, rng):
+    grid = build_grid(kind, extents, shape)
+    f = rng.standard_normal(grid.n_cells)
+    kept = f.copy()
+    c = to_dct(grid, f)
+    assert f.tobytes() == kept.tobytes()
+    coefficients = c.copy()
+    u = from_dct(grid, c)
+    assert c.tobytes() == coefficients.tobytes()
+    # in place: the same bytes, in the argument's own memory
+    g = kept.copy()
+    c_in = to_dct(grid, g, overwrite=True)
+    assert np.shares_memory(c_in, g) and c_in.tobytes() == c.tobytes()
+    u_in = from_dct(grid, c_in, overwrite=True)
+    assert np.shares_memory(u_in, g) and u_in.tobytes() == u.tobytes()

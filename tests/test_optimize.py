@@ -334,6 +334,22 @@ def _claim_records(path: Path) -> list:
                   for record in path.iterdir())
 
 
+def _failing_restarts(restarts, *args):
+    """A restart loop that fails on restart 1 and takes 0.1 s on every
+    other, recording each take as a file <restart>.<pid> and the failure
+    as fail.<pid> in $CLAIM_RECORDS, each holding its monotonic time."""
+    records = Path(os.environ["CLAIM_RECORDS"])
+    for restart in restarts:
+        (records / f"{restart}.{os.getpid()}").write_text(
+            repr(time.monotonic()))
+        if restart == 1:
+            (records / f"fail.{os.getpid()}").write_text(
+                repr(time.monotonic()))
+            raise ValueError("restart 1 failed")
+        time.sleep(0.1)
+    return None, set()
+
+
 def _report_blas_threads(restarts, *args):
     """The OpenBLAS thread counts and OS threads after a BLAS call and an
     iterative solve, which enters ``_one_blas_thread`` once more."""
@@ -466,6 +482,43 @@ class TestParallelRestarts:
         assert result.final_m.tobytes() == inline.final_m.tobytes()
         assert result.trace == inline.trace
 
+    def test_a_failing_worker_ends_the_claims(self, monkeypatch):
+        # the failing worker runs the counter out before it sends its error
+        counter = multiprocessing.get_context("fork").Value("q", 0)
+        reader, writer = multiprocessing.Pipe(duplex=False)
+
+        def fails_on_restart_1(restarts, *args):
+            for restart in restarts:
+                if restart == 1:
+                    raise ValueError("restart 1 failed")
+            return None, set()
+
+        monkeypatch.setattr(optimize, "_run_restarts", fails_on_restart_1)
+        _worker(counter, 12, (), writer)
+        error = reader.recv()
+        reader.close()
+        writer.close()
+        assert counter.value == 12
+        assert isinstance(error, ValueError)
+
+    def test_first_error_raises_at_once(self, monkeypatch, tmp_path):
+        # the parent reads whichever worker ends first: it does not wait
+        # for the other worker's 0.1 s restarts
+        monkeypatch.setenv("CLAIM_RECORDS", str(tmp_path))
+        monkeypatch.setattr(optimize, "_run_restarts", _failing_restarts)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="restart 1 failed"):
+            _parallel_runs(2, 12, ())
+        assert time.monotonic() - start < 0.5
+        times = {record.name: float(record.read_text())
+                 for record in tmp_path.iterdir()}
+        failed = [t for name, t in times.items() if name.startswith("fail")]
+        assert len(failed) == 1
+        claims = sorted(int(name.split(".")[0]) for name in times
+                        if not name.startswith("fail"))
+        assert claims == [0, 1]
+        assert max(times.values()) == failed[0]
+
     def test_unpicklable_input_or_result_never_hangs(self):
         # the child runs in its own session, killed if late
         src = str(Path(optimize.__file__).parents[1])
@@ -569,6 +622,42 @@ class TestParallelRestarts:
         assert result.final_m.tobytes() == inline.final_m.tobytes()
         assert result.trace == inline.trace
         assert result.solves == inline.solves
+
+
+class TestCylinderTheorem:
+    """The paper's theorem: on a cylinder every minimizer is monotone
+    along the generatrix, in any dimension.  A discrete fixed point is only
+    a local optimum, so these check the best of 8 restarts."""
+
+    @pytest.mark.parametrize("kind,extents,shape,fraction,stripe", [
+        # +1 on a quarter: the minimizer is one stripe at an end
+        ("box", [2.0, 1.0, 1.0], [16, 8, 8], 0.25, True),
+        # +1 on a tenth of the unit square: a corner set
+        ("rectangle", [1.0, 1.0], [48, 48], 0.1, False),
+    ])
+    def test_best_restart_is_monotone_along_x1(self, kind, extents, shape,
+                                               fraction, stripe):
+        grid = build_grid(kind, extents, shape)
+        cls, values = bang_bang_class(grid, round(fraction * grid.n_cells))
+        result = minimize_lambda1(cls, grid, restarts=8, seed=0,
+                                  solver="iterative")
+        assert result.converged
+        assert result.comonotone_violations == 0
+        assert result.monotone_x1.classification in (
+            "monotone_decreasing", "monotone_increasing")
+        assert equimeasurable(result.final_m, values, grid)
+        lines = grid.lines(result.final_m)
+        assert bool(np.all(lines == lines[0])) == stripe
+        if not stripe:  # x2 is a generatrix of the square as well
+            steps = np.diff(lines, axis=0)
+            assert np.all(steps <= 0) or np.all(steps >= 0)
+            return
+        # constant across lines: the 1D problem on its x1-profile has the
+        # same lambda1
+        interval = build_grid("interval", extents[:1], shape[:1])
+        line = principal_eigenpair(weight_field(interval, lines[0]))
+        lam = result.final_pair.lambda1
+        assert abs(line.lambda1 - lam) <= 1e-12 * lam
 
 
 class TestOscillating:

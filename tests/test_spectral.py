@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse.linalg as spla
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from eigenweight import (
     ZeroWeightIntegral,
     assemble_stiffness,
     build_grid,
+    decreasing_rearrangement,
     mu1_derivative,
     mu1_extended,
     principal_eigenpair,
@@ -31,6 +33,7 @@ from eigenweight import (
 import eigenweight
 from eigenweight import spectral
 from eigenweight.grid import dct_eigenvalues, to_dct
+from eigenweight.rearrange import _dealt_values
 from eigenweight.spectral import SOLVERS
 from oracles import (copied_dense_eigenpair, gemm_pencil, random_admissible,
                      two_phase_lambda1)
@@ -412,6 +415,50 @@ class TestDctKernel:
     @pytest.mark.parametrize("kind,extents,shape", ODD_GRIDS)
     def test_eigenvalues_reproduce_stiffness(self, kind, extents, shape):
         assert_dct_diagonalizes_stiffness(build_grid(kind, extents, shape))
+
+    @pytest.mark.parametrize("kind,extents,shape", ODD_GRIDS)
+    def test_apply_leaves_its_argument_alone(self, kind, extents, shape,
+                                             rng):
+        # ARPACK passes slices of its work array: an apply that wrote into
+        # y or returned a view of it would corrupt the Krylov basis
+        grid = build_grid(kind, extents, shape)
+        m = weights(grid, random_admissible(rng, grid.n_cells))
+        S, to_vm = spectral._dct_operator(m)
+        n = grid.n_cells
+        work = rng.standard_normal(3 * n)
+        kept = work.copy()
+        y = work[n:2 * n]
+        out, u = S.matvec(y), to_vm(y)
+        assert S.applies == 1
+        assert work.tobytes() == kept.tobytes()
+        assert not np.shares_memory(out, work)
+        assert not np.shares_memory(u, work)
+        # the bytes of the same steps, each on a new array, via scipy.fft
+        scale = spectral._mode_scale(grid, -0.5)
+        q = grid.cell_measure * m.values
+        v = scipy.fft.idctn(y.reshape(scale.shape) * scale,
+                            norm="ortho").ravel()
+        v = v - spectral._dot(q, v) / m.integral
+        assert u.tobytes() == v.tobytes()
+        expected = scipy.fft.dctn((q * v).reshape(scale.shape),
+                                  norm="ortho") * scale
+        assert out.tobytes() == expected.ravel().tobytes()
+
+    def test_cached_constants_are_read_only(self):
+        grid = build_grid("rectangle", [2.0, 1.0], [8, 4])
+        values = np.where(np.arange(32) < 8, 1.0, -2.0)
+        cls = decreasing_rearrangement(values, grid)
+        constants = [dct_eigenvalues(grid), spectral._mode_scale(grid, -0.5),
+                     spectral._mode_scale(grid, -1.0),
+                     spectral._start_vector(grid.n_cells),
+                     _dealt_values(cls, grid)]
+        for constant in constants:
+            assert not constant.flags.writeable
+        # computed once: a second call returns the same array
+        assert spectral._mode_scale(grid, -0.5) is constants[1]
+        assert spectral._start_vector(grid.n_cells) is constants[3]
+        assert _dealt_values(cls, grid) is constants[4]
+        np.testing.assert_array_equal(constants[4], cls.cell_values(grid))
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.lists(st.integers(2, 7), min_size=1, max_size=3),
