@@ -16,7 +16,8 @@ them, hence K, with the per-axis eigenvalues summed (``dct_eigenvalues``);
 the spectral and logistic solvers work in that basis.  ``to_dct`` and
 ``from_dct`` run pocketfft through ``scipy.fftpack``: the bytes of
 ``scipy.fft`` without its dispatch layer, a sixth of a ``scipy.fft`` call at
-2,048 cells.  ``overwrite=True`` transforms an array the caller owns in place.
+2,048 cells.  They transform in place, consuming their argument: a caller
+that needs it afterwards passes a copy.
 """
 
 from __future__ import annotations
@@ -183,15 +184,15 @@ def dct_eigenvalues(grid: Grid) -> np.ndarray:
     return lam
 
 
-def to_dct(grid: Grid, f: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Orthonormal DCT-II coefficients of a cell field, layout shape[::-1]."""
+def to_dct(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II coefficients of f, layout shape[::-1]; consumes f."""
     return scipy.fftpack.dctn(f.reshape(grid.shape[::-1]), norm="ortho",
-                              overwrite_x=overwrite)
+                              overwrite_x=True)
 
 
-def from_dct(grid: Grid, c: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Inverse of ``to_dct``: the cell field in flat order."""
-    return scipy.fftpack.idctn(c, norm="ortho", overwrite_x=overwrite).ravel()
+def from_dct(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Inverse of ``to_dct``: the cell field in flat order; consumes c."""
+    return scipy.fftpack.idctn(c, norm="ortho", overwrite_x=True).ravel()
 
 
 def as_field(grid: Grid, f) -> np.ndarray:

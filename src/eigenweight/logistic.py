@@ -70,9 +70,9 @@ def _diffusion_symbol(grid: Grid, dt: float) -> np.ndarray:
 def _implicit_diffusion(grid: Grid, symbol: np.ndarray,
                         rhs: np.ndarray) -> np.ndarray:
     """Solve (W/dt + K) v = rhs in rhs; symbol from ``_diffusion_symbol``."""
-    c = to_dct(grid, rhs, overwrite=True)
+    c = to_dct(grid, rhs)
     c /= symbol
-    return from_dct(grid, c, overwrite=True)
+    return from_dct(grid, c)
 
 
 def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAdmissibleClass, IndivisibleStripes
-from .grid import Grid, as_field, assemble_stiffness
-from .rearrange import RearrangementClass, comonotone_arrangement
-from .spectral import (EigenPair, _mode_scale, _one_blas_thread,
-                       principal_eigenpair, weight_field)
+from .grid import Grid, as_field, assemble_stiffness, dct_eigenvalues
+from .rearrange import (RearrangementClass, _dealt_values,
+                        comonotone_arrangement)
+from .spectral import (EigenPair, _one_blas_thread, principal_eigenpair,
+                       weight_field)
 
 
 #: per-line label indexed by 2 * nonincreasing + nondecreasing
@@ -119,9 +120,9 @@ def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
     """Restart 0 is the canonical arrangement (sorted values in flat cell
     order); restart i > 0 is a permutation drawn from child i - 1 of the
     seed's splittable generator, made only when the restart runs."""
-    canonical = cls.cell_values(grid)
+    canonical = _dealt_values(cls, grid)
     if restart == 0:
-        return canonical
+        return canonical.copy()
     child = np.random.SeedSequence(seed, spawn_key=(restart - 1,))
     return np.random.default_rng(child).permutation(canonical)
 
@@ -251,7 +252,7 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     workers = min(restarts, _usable_cpus())
     # the grid's constants, built before the workers fork to be inherited
     assemble_stiffness(grid)
-    _mode_scale(grid, -0.5)
+    dct_eigenvalues(grid)
     # one BLAS thread wherever restarts run: the CPU count changes no byte
     with _one_blas_thread() if restarts > 1 else nullcontext():
         parts = (workers > 1 and _parallel_runs(workers, restarts, args)

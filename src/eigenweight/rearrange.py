@@ -137,7 +137,7 @@ def check_majorization(g, f, grid: Grid) -> MajorizationReport:
 
 @lru_cache(maxsize=32)
 def _dealt_values(cls: RearrangementClass, grid: Grid) -> np.ndarray:
-    """``cls.cell_values(grid)``, computed once for all sweeps, read-only."""
+    """``cls.cell_values(grid)`` for every restart and sweep, read-only."""
     values = cls.cell_values(grid)
     values.setflags(write=False)
     return values

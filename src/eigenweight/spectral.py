@@ -268,9 +268,9 @@ def solution_operator(m: WeightField, f) -> np.ndarray:
     q = _weighted_values(m)
     g = q * f
     g -= q * (g.sum() / m.integral)
-    c = to_dct(m.grid, g, overwrite=True)
+    c = to_dct(m.grid, g)
     c *= _mode_scale(m.grid, -1.0)
-    u = from_dct(m.grid, c, overwrite=True)
+    u = from_dct(m.grid, c)
     return np.ldexp(project_mean_zero(m, u), exp)
 
 
@@ -440,14 +440,14 @@ def _dct_operator(m: WeightField):
     scale = _mode_scale(grid, -0.5)
 
     def to_vm(y):
-        u = from_dct(grid, y.reshape(scale.shape) * scale, overwrite=True)
+        u = from_dct(grid, y.reshape(scale.shape) * scale)
         u -= _dot(q, u) / m.integral
         return u
 
     def matvec(y):
         u = to_vm(y)
         u *= q
-        c = to_dct(grid, u, overwrite=True)
+        c = to_dct(grid, u)
         c *= scale
         return c.ravel()
 

@@ -33,6 +33,7 @@ from eigenweight import (
 import eigenweight
 from eigenweight import spectral
 from eigenweight.grid import dct_eigenvalues, to_dct
+from eigenweight.optimize import _start_field
 from eigenweight.rearrange import _dealt_values
 from eigenweight.spectral import SOLVERS
 from oracles import (copied_dense_eigenpair, gemm_pencil, random_admissible,
@@ -459,6 +460,10 @@ class TestDctKernel:
         assert spectral._start_vector(grid.n_cells) is constants[3]
         assert _dealt_values(cls, grid) is constants[4]
         np.testing.assert_array_equal(constants[4], cls.cell_values(grid))
+        # the optimizer's restart 0 starts from a writable copy of them
+        start = _start_field(cls, grid, 0, 0)
+        assert start.flags.writeable
+        assert not np.shares_memory(start, constants[4])
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.lists(st.integers(2, 7), min_size=1, max_size=3),
