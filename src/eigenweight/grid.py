@@ -30,7 +30,7 @@ import numpy as np
 import scipy.fftpack
 import scipy.sparse as sp
 
-from .errors import InvalidSpec, LengthMismatch
+from .errors import InvalidSpec, LengthMismatch, ValidationError
 
 #: domain kind -> dimension
 DOMAIN_KINDS = {"interval": 1, "rectangle": 2, "box": 3}
@@ -205,5 +205,12 @@ def as_field(grid: Grid, f) -> np.ndarray:
 
 
 def integrate(grid: Grid, f) -> float:
-    """Midpoint-rule integral of a cell field: cell measure * sum of values."""
-    return grid.cell_measure * float(as_field(grid, f).sum())
+    """Midpoint-rule integral of a cell field: cell measure * sum of values.
+
+    Raises ValidationError when it is not finite, a sum that overflowed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = grid.cell_measure * float(as_field(grid, f).sum())
+    if not np.isfinite(total):
+        raise ValidationError(f"field integral {total} is not finite")
+    return total

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (InvalidSpec, NegativeInitial, UnstableStep,
                      ValidationError)
-from .grid import Grid, as_field, dct_eigenvalues, from_dct, to_dct
+from .grid import as_field, dct_eigenvalues, from_dct, to_dct
 from .spectral import WeightField
 
 #: persistence threshold: final mass fraction of |domain| * max(m)+
@@ -61,20 +61,6 @@ class Trajectory:
     distinct_substep_lengths: int
 
 
-def _diffusion_symbol(grid: Grid, dt: float) -> np.ndarray:
-    """W/dt + K in the DCT basis, where it is diagonal; W is the cell
-    measure."""
-    return grid.cell_measure / dt + dct_eigenvalues(grid)
-
-
-def _implicit_diffusion(grid: Grid, symbol: np.ndarray,
-                        rhs: np.ndarray) -> np.ndarray:
-    """Solve (W/dt + K) v = rhs in rhs; symbol from ``_diffusion_symbol``."""
-    c = to_dct(grid, rhs)
-    c /= symbol
-    return from_dct(grid, c)
-
-
 def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
                       t_end: float) -> Trajectory:
     """Run the logistic model to t_end and classify the outcome.
@@ -85,8 +71,7 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     nonnegative; UnstableStep is raised if the guard needs more than
     10^6 substeps, and InvalidSpec if t_end / dt asks for more than 10^6
     macro steps or the initial mass, max|m| + 2 max v0 or a substep's
-    right-hand side overflows.  The diffusion symbol
-    W/dt_sub + K is computed again only when dt_sub changes.
+    right-hand side overflows.
     """
     grid = m.grid
     v = as_field(grid, v0).copy()
@@ -125,7 +110,6 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
     min_pre_clamp = 0.0
     substeps_taken = 0
     lengths = set()
-    symbol_dt, symbol = None, None
 
     t = 0.0
     for step in range(n_steps):
@@ -141,8 +125,7 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
         dt_sub = step_dt / n_sub
         substeps_taken += n_sub
         lengths.add(dt_sub)
-        if dt_sub != symbol_dt:
-            symbol_dt, symbol = dt_sub, _diffusion_symbol(grid, dt_sub)
+        symbol = w / dt_sub + dct_eigenvalues(grid)
         for _ in range(n_sub):
             try:  # not checked up front: a short last step shrinks dt_sub
                 with np.errstate(over="raise"):
@@ -150,7 +133,9 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
             except FloatingPointError as exc:
                 raise InvalidSpec(f"initial density overflows v / dt_sub at "
                                   f"substep length {dt_sub:g}") from exc
-            v = _implicit_diffusion(grid, symbol, rhs)
+            c = to_dct(grid, rhs)
+            c /= symbol
+            v = from_dct(grid, c)
             low = float(v.min())
             if low < 0.0:
                 min_pre_clamp = min(min_pre_clamp, low)

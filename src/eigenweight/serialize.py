@@ -94,7 +94,8 @@ def write_profile_csv(path, cls: RearrangementClass) -> None:
 
 
 def read_profile_csv(path):
-    """Read (value, measure) rows; returns the raw profile pairs."""
+    """Read (value, measure) rows; raises ParseError naming the row when a
+    value is not finite or a measure not finite and positive."""
     pairs = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -106,7 +107,11 @@ def read_profile_csv(path):
             toks = line.strip().split(",")
             if len(toks) != 2:
                 raise ParseError(f"{path}: bad profile row {i}")
-            pairs.append((float(toks[0]), float(toks[1])))
+            value, measure = float(toks[0]), float(toks[1])
+            if not (np.isfinite(value) and 0.0 < measure < np.inf):
+                raise ParseError(f"{path}: profile row {i} needs a finite "
+                                 f"value and a finite positive measure")
+            pairs.append((value, measure))
     return pairs
 
 
@@ -135,10 +140,6 @@ def write_spectrum_csv(path, spectrum: SignedSpectrum) -> None:
             zip_longest(*columns, fillvalue=""), start=1))
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def write_json(path, payload: dict) -> None:
     """Deterministic JSON (sorted keys) plus a timestamp field.
 
@@ -146,7 +147,7 @@ def write_json(path, payload: dict) -> None:
     comparisons between runs.
     """
     payload = dict(payload)
-    payload["timestamp"] = _timestamp()
+    payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

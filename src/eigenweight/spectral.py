@@ -340,7 +340,13 @@ def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
     Ku = K @ u
-    scale = np.sqrt(_dot(u, Ku))
+    energy, lam = _dot(u, Ku), 1.0 / mu1
+    # K's condition grows with the cells' aspect ratio, and mu1 underflows
+    # when the positive part of m / 2^e is subnormal
+    if not (energy > 0 and lam < np.inf):
+        raise SingularSystem(f"the eigenpair leaves the floating-point "
+                             f"range: u^T K u = {energy:g}, lambda1 = {lam:g}")
+    scale = np.sqrt(energy)
     u = u / scale
     Ku = Ku / scale
     # one-signed up to solver accuracy: rough weights can graze zero, while
@@ -348,7 +354,6 @@ def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
     if np.min(u) < -1e-6 * np.max(u):
         raise SingularSystem(
             "principal eigenfunction is not one-signed; solver failure")
-    lam = 1.0 / mu1
     r = Ku - lam * (q * u)
     # the component along q, removed along q / 2^e: exact, and its square
     # norm neither overflows nor underflows
@@ -358,14 +363,6 @@ def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
                      / max(np.sqrt(_dot(Ku, Ku)), 1e-300))
     return EigenPair(mu1=float(mu1), lambda1=float(lam), u=u,
                      residual=residual, stats=stats)
-
-
-def _check_admissible(m: WeightField) -> None:
-    if m.integral >= 0:
-        raise NotAdmissible(
-            f"weight integral {m.integral:g} is nonnegative")
-    if not m.has_positive_part:
-        raise NoPositivePart("weight is nonpositive everywhere")
 
 
 @cache
@@ -461,13 +458,17 @@ def _arpack_top(A, tol: float, v0=None, **kwargs):
     against grid symmetries, and ARPACK's restart draws come from a
     fixed-seed generator, so the same inputs always produce the same
     bytes.  Every operator solved here has a positive top eigenvalue, so a
-    nonpositive one raises SingularSystem.
+    nonpositive one raises SingularSystem; a run that does not converge
+    raises IterationLimit.
     """
     if v0 is None:
         v0 = _start_vector(A.shape[0])
-    vals, vecs = spla.eigsh(A, k=1, which="LA", tol=tol, v0=v0,
-                            rng=np.random.default_rng(_ARPACK_SEED),
-                            **kwargs)
+    try:
+        vals, vecs = spla.eigsh(A, k=1, which="LA", tol=tol, v0=v0,
+                                rng=np.random.default_rng(_ARPACK_SEED),
+                                **kwargs)
+    except spla.ArpackNoConvergence as exc:
+        raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
     if vals[0] <= 0:
         raise SingularSystem(
             "iterative solver converged to a nonpositive eigenvalue")
@@ -482,12 +483,6 @@ def _start_vector(n: int) -> np.ndarray:
     return v0
 
 
-def _first_cycle(n: int) -> int:
-    """Applies of one ARPACK cycle for one eigenpair of an n x n operator:
-    ``eigsh``'s default Lanczos basis, min(n, 20) vectors, and one more."""
-    return min(n, 20) + 1
-
-
 def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
     """Largest eigenvalue of S; a loose ARPACK run picks the path.
 
@@ -498,11 +493,10 @@ def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
     refinement does not converge, ``_shift_invert`` starts from theta.
     """
     S, to_vm = _dct_operator(m)
-    try:
-        theta, y = _arpack_top(S, _SHIFT_TOL)
-    except spla.ArpackNoConvergence as exc:
-        raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
-    first_cycle = S.applies <= _first_cycle(S.shape[0])
+    theta, y = _arpack_top(S, _SHIFT_TOL)
+    # one ARPACK cycle for one eigenpair: eigsh's default Lanczos basis of
+    # min(n, 20) vectors, and one more apply
+    first_cycle = S.applies <= min(S.shape[0], 20) + 1
     r = S.matvec(y) - theta * y
     if np.sqrt(_dot(r, r)) <= tol * theta:
         return _finalize_eigenpair(m, theta, to_vm(y),
@@ -510,7 +504,7 @@ def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
     if first_cycle:
         try:
             mu1, y = _arpack_top(S, tol, v0=y, maxiter=_PROBE_RESTARTS)
-        except spla.ArpackNoConvergence:
+        except IterationLimit:
             pass
         else:
             return _finalize_eigenpair(m, mu1, to_vm(y),
@@ -555,11 +549,8 @@ def _shift_invert(m: WeightField, tol: float, theta: float,
     else:
         raise SingularSystem("no shift passed the inertia check")
     Binv = _Counted(lu.solve, m.grid.n_cells)
-    try:
-        nu1, u = _arpack_top(scipy.sparse.diags(_weighted_values(m)), tol,
-                             M=B, Minv=Binv)
-    except spla.ArpackNoConvergence as exc:
-        raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
+    nu1, u = _arpack_top(scipy.sparse.diags(_weighted_values(m)), tol, M=B,
+                         Minv=Binv)
     stats = SolveStats("shift-invert", applies + Binv.applies, sigma,
                        halvings)
     return _finalize_eigenpair(m, 1.0 / (sigma + 1.0 / nu1),
@@ -578,20 +569,14 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
     with the sign fixed positive, and ``stats`` names the path that ran.
     Both paths solve on ``_unit_weight(m)``.
     """
-    _check_admissible(m)
+    if m.integral >= 0:
+        raise NotAdmissible(
+            f"weight integral {m.integral:g} is nonnegative")
+    if not m.has_positive_part:
+        raise NoPositivePart("weight is nonpositive everywhere")
     unit, exp = _unit_weight(m)
-    pair = _unit_eigenpair(unit, solver, tol)
-    sigma = pair.stats.sigma
-    return replace(pair, mu1=float(np.ldexp(pair.mu1, exp)),
-                   lambda1=float(np.ldexp(pair.lambda1, -exp)),
-                   stats=replace(pair.stats, sigma=None if sigma is None
-                                 else float(np.ldexp(sigma, -exp))))
-
-
-def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
-    """``principal_eigenpair`` of a weight with max|m| in [1/2, 1)."""
     if solver == "dense":
-        A, S, lift = _dense_pencil(m)
+        A, S, lift = _dense_pencil(unit)
         top = A.shape[0] - 1
         vals, vecs = _eigh_in_place(A, S, subset_by_index=[top, top])
         if vals[0] <= 0:  # pragma: no cover - admissible weights have mu1 > 0
@@ -600,12 +585,18 @@ def _unit_eigenpair(m: WeightField, solver: str, tol: float) -> EigenPair:
         # whose condition grows like n^2; the Rayleigh quotient of its
         # vector errs only by the square of the vector's error
         u = lift(vecs[:, 0])
-        return _finalize_eigenpair(m, rayleigh_quotient(m, u), u,
+        pair = _finalize_eigenpair(unit, rayleigh_quotient(unit, u), u,
                                    SolveStats("dense"))
-    if solver == "iterative":
+    elif solver == "iterative":
         with _one_blas_thread():
-            return _dct_iteration(m, tol)
-    raise ValueError(f"unknown solver {solver!r}")
+            pair = _dct_iteration(unit, tol)
+    else:
+        raise ValueError(f"unknown solver {solver!r}")
+    sigma = pair.stats.sigma
+    return replace(pair, mu1=float(np.ldexp(pair.mu1, exp)),
+                   lambda1=float(np.ldexp(pair.lambda1, -exp)),
+                   stats=replace(pair.stats, sigma=None if sigma is None
+                                 else float(np.ldexp(sigma, -exp))))
 
 
 def signed_spectrum(m: WeightField, k: int) -> SignedSpectrum:
@@ -665,9 +656,6 @@ def mu1_extended(m: WeightField, solver: str = "dense",
     statements meaningful across degenerate weights; the degenerate case
     is signalled by ``m.has_positive_part`` being False.
     """
-    if m.integral >= 0:
-        raise NotAdmissible(
-            f"weight integral {m.integral:g} is nonnegative")
-    if not m.has_positive_part:
+    if m.integral < 0 and not m.has_positive_part:
         return 0.0
     return principal_eigenpair(m, solver=solver, tol=tol).mu1

@@ -626,7 +626,13 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("content", [
         None, "measure,value\n1.0,0.25\n-2.0,0.75\n",
         "value,measure\none,0.25\n-2.0,0.75\n",
-        "value,measure\n1.0,0.25,7\n"])
+        "value,measure\n1.0,0.25,7\n",
+        # a negative measure in a profile whose measures still sum to 1
+        "value,measure\n1.0,-0.5\n1.0,0.5\n-2.0,1.0\n",
+        "value,measure\nnan,0.25\n-2.0,0.75\n",
+        "value,measure\n1.0,0.25\n-inf,0.75\n",
+        "value,measure\n1.0,inf\n-2.0,0.75\n",
+        "value,measure\n1.0,0.0\n1.0,0.25\n-2.0,0.75\n"])
     def test_bad_profile_file_exit_3(self, tmp_path, capsys, content):
         profile = tmp_path / "profile.csv"
         if content is not None:

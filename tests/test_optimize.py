@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import event, example, given, settings, target
 from hypothesis import strategies as st
 
 from eigenweight import (
@@ -22,6 +22,7 @@ from eigenweight import (
     decreasing_rearrangement,
     equimeasurable,
     minimize_lambda1,
+    monotone_x1_rearrangement,
     oscillating_arrangement,
     principal_eigenpair,
     weight_field,
@@ -658,6 +659,52 @@ class TestCylinderTheorem:
         line = principal_eigenpair(weight_field(interval, lines[0]))
         lam = result.final_pair.lambda1
         assert abs(line.lambda1 - lam) <= 1e-12 * lam
+
+    @settings(max_examples=12, deadline=None)
+    @given(box=st.booleans(), ratio=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+           fraction=st.floats(0.05, 0.3), fine=st.booleans())
+    # a fixed point that is only a local optimum: its lines are not all
+    # monotone in one direction
+    @example(box=True, ratio=1.0, fraction=0.28, fine=True)
+    def test_best_restart_on_drawn_cylinders(self, box, ratio, fraction,
+                                             fine):
+        n2 = (6 if fine else 4) if box else (12 if fine else 8)
+        shape = [max(2, round(n2 * ratio))] + [n2] * (2 if box else 1)
+        grid = build_grid("box" if box else "rectangle",
+                          [ratio] + [1.0] * (len(shape) - 1), shape)
+        cls, values = bang_bang_class(grid,
+                                      max(1, round(fraction * grid.n_cells)))
+        result = minimize_lambda1(cls, grid, restarts=8, seed=0,
+                                  solver="iterative")
+        assert result.converged
+        assert result.comonotone_violations == 0
+        assert equimeasurable(result.final_m, values, grid)
+        if result.monotone_x1.classification != "not_monotone":
+            return
+        # sorting the lines along x1 stays in the class and lowers lambda1,
+        # so this best restart is not a minimizer
+        event("best restart not monotone")
+        lam = result.final_pair.lambda1
+        sorted_lam = min(
+            principal_eigenpair(weight_field(grid, monotone_x1_rearrangement(
+                result.final_m, grid, direction))).lambda1
+            for direction in ("decreasing", "increasing"))
+        assert sorted_lam < lam * (1 - 1e-9)
+
+    def test_minimal_lambda1_converges_at_second_order(self):
+        # +1 on a quarter of [2, 1]: the minimizer is the stripe of width
+        # 0.5 at one end, whose 1D continuum lambda1 is known in closed form
+        exact = two_phase_lambda1(1.0, 2.0, 0.5, 2.0)
+        errors = []
+        for n1 in (16, 32, 64, 128):
+            grid = build_grid("rectangle", [2.0, 1.0], [n1, n1 // 2])
+            cls, _ = bang_bang_class(grid, grid.n_cells // 4)
+            result = minimize_lambda1(cls, grid, restarts=8, seed=0,
+                                      solver="iterative")
+            assert result.monotone_x1.classification != "not_monotone"
+            errors.append(result.final_pair.lambda1 - exact)
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((3.8 <= ratios) & (ratios <= 4.2)), ratios
 
 
 class TestOscillating:
