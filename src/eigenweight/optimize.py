@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -26,12 +28,16 @@ from .errors import NotAdmissibleClass, IndivisibleStripes
 from .grid import Grid, as_field, assemble_stiffness, dct_eigenvalues
 from .rearrange import (RearrangementClass, _dealt_values,
                         comonotone_arrangement)
-from .spectral import (EigenPair, _one_blas_thread, principal_eigenpair,
-                       weight_field)
+from .spectral import (EigenPair, SolveStats, _one_blas_thread,
+                       principal_eigenpair, weight_field)
 
 
 #: per-line label indexed by 2 * nonincreasing + nondecreasing
 _LINE_LABELS = np.array(["none", "increasing", "decreasing", "constant"])
+
+#: bytes of the table of solved pairs that a parallel call's workers
+#: share; a slot takes 8 bytes a cell and 104 more
+_TABLE_BYTES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +61,8 @@ class OptimizationResult:
     ``trace`` lists (iteration, mu1, lambda1, changed_cells) for the best
     restart; mu1 is nondecreasing along it.  ``solves`` counts the
     distinct arrangements solved in the whole call, every restart
-    included.
+    included; ``eigensolves`` counts the eigensolves the call ran, more
+    only when the workers' shared table is full.
     ``comonotone_violations`` counts cell pairs ordered against the final
     eigenfunction (zero at a true fixed point) and ``monotone_x1``
     summarizes the final weight's monotonicity along the first axis.
@@ -67,6 +74,7 @@ class OptimizationResult:
     converged: bool
     restarts_used: int
     solves: int
+    eigensolves: int
     comonotone_violations: int
     monotone_x1: MonotonicityReport
 
@@ -127,16 +135,85 @@ def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
     return np.random.default_rng(child).permutation(canonical)
 
 
+class _SharedPairs:
+    """Solved pairs that the forked workers of one call share.
+
+    A fill count and slots of (digest, ``HEAD``, u) lie in an anonymous
+    shared mapping made before the fork and never touched by the parent,
+    so only the slots the workers fill become resident.  A worker that
+    misses claims the next slot under ``lock``; one that meets a claimed
+    arrangement waits until its slot is filled, or its parent is gone.
+    """
+
+    #: filled flag, mu1, lambda1, residual, sigma (NaN for None), applies,
+    #: halvings and path of a slot's pair
+    HEAD = struct.Struct("q4d2q16s")
+
+    def __init__(self, most: int, n_cells: int, lock):
+        import mmap  # only a run that forks loads it
+        self.n, self.size = n_cells, 32 + self.HEAD.size + 8 * n_cells
+        self.capacity = min(most, _TABLE_BYTES // self.size)
+        self.map = mmap.mmap(-1, 8 + self.capacity * self.size)
+        self.lock, self.parent = lock, os.getpid()
+        # this process's digest -> offset of each slot read (digests are
+        # claimed once each), and its open claim
+        self.slots, self.claim = {}, None
+
+    def get(self, key: bytes) -> EigenPair | None:
+        """The pair for ``key``; None after claiming its slot, or when the
+        table is full."""
+        with self.lock:
+            count, = struct.unpack_from("q", self.map)
+            for at in range(8 + len(self.slots) * self.size,
+                            8 + count * self.size, self.size):
+                self.slots[self.map[at:at + 32]] = at
+            at = self.slots.get(key)
+            if at is None and count < self.capacity:
+                self.claim = 8 + count * self.size
+                self.map[self.claim:self.claim + 32] = key
+                struct.pack_into("q", self.map, 0, count + 1)
+        while at is not None:
+            with self.lock:
+                filled, mu1, lambda1, residual, sigma, applies, halvings, \
+                    path = self.HEAD.unpack_from(self.map, at + 32)
+            if filled:
+                u = np.frombuffer(self.map, np.float64, self.n,
+                                  at + 32 + self.HEAD.size).copy()
+                return EigenPair(mu1, lambda1, u, residual, SolveStats(
+                    path.rstrip(b"\0").decode(), applies,
+                    None if np.isnan(sigma) else sigma, halvings))
+            if os.getppid() != self.parent:
+                break
+            time.sleep(0.0005)  # another worker is solving it
+        return None
+
+    def put(self, pair: EigenPair) -> None:
+        """Fill the slot this process claimed, if any."""
+        at, self.claim = self.claim, None
+        if at is not None:
+            stats = pair.stats
+            with self.lock:
+                self.map[at + 32 + self.HEAD.size:at + self.size] = pair.u
+                self.HEAD.pack_into(
+                    self.map, at + 32, 1, pair.mu1, pair.lambda1,
+                    pair.residual, np.nan if stats.sigma is None
+                    else stats.sigma, stats.applies, stats.halvings,
+                    stats.path.encode())
+
+
 def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
-                  max_iters: int, tol: float, solver: str) -> tuple:
+                  max_iters: int, tol: float, solver: str,
+                  table: _SharedPairs | None = None) -> tuple:
     """The fixed-point sweeps of the restarts an iterable yields in
     increasing order (the whole range, or a worker's claims).  Returns
     the best run as (mu1, restart, m, pair, trace, converged), ties
-    toward the earlier restart (None if none ran), and the sha256 digests
-    of the arrangements solved.  The restarts share one memo from digest
-    to eigenpair: a restart that reaches an arrangement solved before
-    reuses the pair and follows the earlier path with sweeps alone."""
-    solved = {}
+    toward the earlier restart (None if none ran), the sha256 digests of
+    the arrangements solved, and the count of eigensolves run.  The
+    restarts share one memo from digest to eigenpair: a restart that
+    reaches an arrangement solved before reuses the pair and follows the
+    earlier path with sweeps alone.  Misses go on to ``table``, if given,
+    which gets each pair solved."""
+    solved, eigensolves = {}, 0
     best = None
     for restart in restarts:
         m = _start_field(cls, grid, restart, seed)
@@ -144,9 +221,15 @@ def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
         for it in range(max_iters + 1):
             key = hashlib.sha256(m.tobytes()).digest()
             pair = solved.get(key)
+            if pair is None and table is not None:
+                pair = table.get(key)
             if pair is None:
-                pair = solved[key] = principal_eigenpair(
+                pair = principal_eigenpair(
                     weight_field(grid, m), solver=solver, tol=tol)
+                eigensolves += 1
+                if table is not None:
+                    table.put(pair)
+            solved[key] = pair
             trace.append((it, pair.mu1, pair.lambda1, changed))
             if it == max_iters:
                 break
@@ -159,7 +242,7 @@ def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
             m = m_next
         if best is None or pair.mu1 > best[0]:
             best = (pair.mu1, restart, m, pair, tuple(trace), converged)
-    return best, set(solved)
+    return best, set(solved), eigensolves
 
 
 def _usable_cpus() -> int:
@@ -169,10 +252,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker(counter, restarts: int, args: tuple, conn) -> None:
+def _worker(counter, restarts: int, args: tuple, conn, table=None) -> None:
     """A forked worker: ``_run_restarts`` on the restarts it claims one at
-    a time from the shared counter, each index by one worker only; sends
-    the result through ``conn``, or ends the claims and sends the error."""
+    a time from the shared counter, each index by one worker only, and
+    ``table``; sends the result through ``conn``, or ends the claims and
+    sends the error."""
     def claimed():
         while True:
             with counter.get_lock():
@@ -181,7 +265,7 @@ def _worker(counter, restarts: int, args: tuple, conn) -> None:
                 return
             yield restart
     try:
-        conn.send(_run_restarts(claimed(), *args))
+        conn.send(_run_restarts(claimed(), *args, table))
     except Exception as exc:
         with counter.get_lock():
             counter.value = restarts
@@ -190,20 +274,28 @@ def _worker(counter, restarts: int, args: tuple, conn) -> None:
 
 def _parallel_runs(workers: int, restarts: int, args: tuple):
     """``_run_restarts`` in ``workers`` forked processes that claim the
-    restarts from one shared counter, or None when they cannot run (no
-    fork, or a worker died); the first error to arrive propagates."""
+    restarts from one shared counter and share one table of solved pairs
+    (none if it cannot be mapped), or None when they cannot run (no fork,
+    or a worker died); the first error to arrive propagates."""
     import multiprocessing.connection  # only a run that forks loads it
     try:  # forked, not spawned: a spawned worker's imports outlast a restart
         context = multiprocessing.get_context("fork")
     except ValueError:
         return None
     counter = context.Value("q", 0)
+    _, grid, _, max_iters, _, _ = args
+    try:
+        table = _SharedPairs(restarts * (max_iters + 1), grid.n_cells,
+                             counter.get_lock())
+    except OSError:
+        table = None
     processes, readers, runs = [], [], []
     try:
         for _ in range(workers):
             reader, writer = context.Pipe(duplex=False)
             processes.append(context.Process(
-                target=_worker, args=(counter, restarts, args, writer)))
+                target=_worker,
+                args=(counter, restarts, args, writer, table)))
             processes[-1].start()
             writer.close()  # before the next fork, so only its worker holds it
             readers.append(reader)
@@ -219,6 +311,8 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
         for process in processes:
             process.terminate()
             process.join()
+        if table is not None:
+            table.map.close()
     return runs
 
 
@@ -240,7 +334,8 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     unclaimed restart whenever it ends one, or inline when W is one or no
     worker starts; either way several restarts solve at one BLAS thread.
     Solves are deterministic, so no outcome depends on which worker ran a
-    restart, and a worker solves each distinct arrangement only once.
+    restart.  The workers share one table of solved pairs, so each
+    distinct arrangement is solved once unless the table is full.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(
@@ -258,11 +353,12 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
         parts = (workers > 1 and _parallel_runs(workers, restarts, args)
                  or [_run_restarts(range(restarts), *args)])
     _, _, m, pair, trace, converged = max(
-        (run for run, _ in parts if run), key=lambda run: (run[0], -run[1]))
+        (run for run, *_ in parts if run), key=lambda run: (run[0], -run[1]))
     return OptimizationResult(
         final_m=m, final_pair=pair, trace=trace, converged=converged,
         restarts_used=restarts,
-        solves=len(set().union(*(seen for _, seen in parts))),
+        solves=len(set().union(*(seen for _, seen, _ in parts))),
+        eigensolves=sum(count for _, _, count in parts),
         comonotone_violations=count_comonotone_violations(m, pair.u, grid),
         monotone_x1=check_monotone_x1(m, grid))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import multiprocessing.context
 import os
@@ -261,7 +262,8 @@ class TestMinimize:
                                       restarts=8, seed=0, solver=solver)
         _, m, pair, trace, converged, distinct = restart_loop(
             cls, grid, max_iters, 1e-12, 8, 0, solver)
-        assert len(calls) == result.solves == distinct == solves
+        assert len(calls) == result.solves == result.eigensolves \
+            == distinct == solves
         assert result.final_m.tobytes() == m.tobytes()
         assert result.final_pair.u.tobytes() == pair.u.tobytes()
         assert repr(result.final_pair.lambda1) == repr(pair.lambda1)
@@ -282,6 +284,35 @@ def _optimize_on(monkeypatch, cpus, *args, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr("eigenweight.optimize._usable_cpus", lambda: cpus)
         return minimize_lambda1(*args, **kwargs)
+
+
+def _assert_same_bytes(result, inline):
+    """Every output of ``result`` is byte for byte the inline run's."""
+    assert result.final_m.tobytes() == inline.final_m.tobytes()
+    assert result.final_pair.u.tobytes() == inline.final_pair.u.tobytes()
+    assert repr(result.final_pair.lambda1) == repr(inline.final_pair.lambda1)
+    assert result.trace == inline.trace
+    assert result.solves == inline.solves
+    assert result.converged == inline.converged
+
+
+def _tiny_args():
+    """``_run_restarts``'s arguments after the restarts, on 32 cells."""
+    grid = build_grid("interval", [1.0], [32])
+    return (bang_bang_class(grid, 8)[0], grid, 0, 200, 1e-12, "dense")
+
+
+def _record_tables(monkeypatch) -> list:
+    """The shared tables that later calls make, in order."""
+    tables = []
+
+    class Recorded(optimize._SharedPairs):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(optimize, "_SharedPairs", Recorded)
+    return tables
 
 
 def _openblas_thread_counts() -> list:
@@ -316,13 +347,14 @@ def _patient_worker(counter, restarts, *args):
 
 def _patient_restarts(restarts, *args):
     """``_recorded_restarts`` whose taker of restart 0 holds it until the
-    counter reaches the restart count, for at most 60 s."""
+    counter passes the restart count, which a worker's claim moves only
+    after it ended its last restart, for at most 60 s."""
     counter, total = _HELD[-1]
 
     def patient():
         for restart in restarts:
             deadline = time.monotonic() + 60
-            while (restart == 0 and counter.value < total
+            while (restart == 0 and counter.value <= total
                    and time.monotonic() < deadline):
                 time.sleep(0.005)
             yield restart
@@ -369,7 +401,9 @@ def _report_blas_threads(restarts, *args):
 #: lambda has no name to be found by), with a stand-in that returns it and
 #: with one that raises an error pickle refuses, and prints how each ended
 _UNPICKLABLE_CHILD = """
-from eigenweight import optimize
+from eigenweight import build_grid, optimize
+
+grid = build_grid("interval", [1.0], [8])
 
 class Unpicklable(Exception):
     def __reduce__(self):
@@ -384,7 +418,8 @@ def raises(claims, *args):
 for stand_in in (returns_input, raises):
     optimize._run_restarts = stand_in
     try:
-        print("returned", optimize._parallel_runs(2, 4, (lambda: None,)))
+        print("returned", optimize._parallel_runs(
+            2, 4, (lambda: None, grid, 0, 3, 1e-12, "dense")))
     except Exception as exc:
         print("raised", type(exc).__name__)
 """
@@ -419,13 +454,93 @@ class TestParallelRestarts:
                       solver=solver)
         inline = _optimize_on(monkeypatch, 1, *args, **kwargs)
         pooled = _optimize_on(monkeypatch, 3, *args, **kwargs)
-        assert pooled.final_m.tobytes() == inline.final_m.tobytes()
-        assert pooled.final_pair.u.tobytes() == inline.final_pair.u.tobytes()
-        assert repr(pooled.final_pair.lambda1) \
-            == repr(inline.final_pair.lambda1)
-        assert pooled.trace == inline.trace
-        assert pooled.solves == inline.solves
-        assert pooled.converged == inline.converged
+        _assert_same_bytes(pooled, inline)
+
+    @given(shape=st.one_of(st.tuples(st.integers(8, 40)),
+                           st.tuples(st.integers(4, 12), st.integers(2, 6))),
+           fraction=st.sampled_from([0.2, 0.25, 0.4]),
+           seed=st.integers(0, 2**32 - 1),
+           solver=st.sampled_from(["dense", "iterative"]),
+           max_iters=st.sampled_from([2, 200]),
+           cpus=st.integers(2, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_shared_table_keeps_every_byte(self, shape, fraction, seed,
+                                           solver, max_iters, cpus):
+        # three workers on two CPUs as well: a lost claim of a slot would
+        # leave an arrangement to be solved twice
+        grid = build_grid(("interval", "rectangle")[len(shape) - 1],
+                          [2.0, 1.0][:len(shape)], list(shape))
+        cls, _ = bang_bang_class(grid, max(1, int(fraction * grid.n_cells)))
+        kwargs = dict(max_iters=max_iters, restarts=5, seed=seed,
+                      solver=solver)
+        with pytest.MonkeyPatch.context() as patch:
+            inline = _optimize_on(patch, 1, cls, grid, **kwargs)
+            pooled = _optimize_on(patch, cpus, cls, grid, **kwargs)
+        _assert_same_bytes(pooled, inline)
+        assert pooled.eigensolves == pooled.solves
+
+    @pytest.mark.parametrize("solver,permutation_seed,path", [
+        ("dense", None, "dense"), ("iterative", None, "arpack"),
+        ("iterative", 0, "shift-invert")])
+    def test_a_published_pair_reads_back_whole(self, solver,
+                                               permutation_seed, path):
+        grid = build_grid("rectangle", [2.0, 1.0], [32, 16])
+        m = np.where(np.arange(grid.n_cells) < 128, 1.0, -2.0)
+        if permutation_seed is not None:
+            m = np.random.default_rng(permutation_seed).permutation(m)
+        pair = principal_eigenpair(weight_field(grid, m), solver=solver)
+        table = optimize._SharedPairs(
+            2, grid.n_cells, multiprocessing.get_context("fork").Lock())
+        try:
+            assert table.get(b"k" * 32) is None  # claims the first slot
+            table.put(pair)
+            read = table.get(b"k" * 32)
+        finally:
+            table.map.close()
+        # every field, so a field the table does not carry fails here
+        assert pair.stats.path == path
+        assert repr(read.stats) == repr(pair.stats)
+        for field in dataclasses.fields(pair):
+            if field.name not in ("u", "stats"):
+                value = getattr(read, field.name)
+                assert repr(value) == repr(getattr(pair, field.name))
+                assert type(value) is type(getattr(pair, field.name))
+        assert read.u.tobytes() == pair.u.tobytes()
+        assert read.u.shape == pair.u.shape and read.u.flags.writeable
+
+    @pytest.mark.parametrize("capacity", [0, 1])
+    def test_a_full_table_changes_no_byte(self, monkeypatch, capacity):
+        grid = build_grid("rectangle", [2.0, 1.0], [12, 6])
+        cls, _ = bang_bang_class(grid, 18)
+        kwargs = dict(restarts=6, seed=3, solver="iterative")
+        inline = _optimize_on(monkeypatch, 1, cls, grid, **kwargs)
+        tables = _record_tables(monkeypatch)
+        monkeypatch.setattr(optimize, "_TABLE_BYTES",
+                            capacity * (8 * grid.n_cells + 104))
+        pooled = _optimize_on(monkeypatch, 2, cls, grid, **kwargs)
+        assert [table.capacity for table in tables] == [capacity]
+        _assert_same_bytes(pooled, inline)
+        assert pooled.eigensolves >= pooled.solves
+
+    def test_workers_run_without_a_mapping(self, monkeypatch):
+        grid = build_grid("rectangle", [2.0, 1.0], [12, 6])
+        cls, _ = bang_bang_class(grid, 18)
+        kwargs = dict(restarts=6, seed=3, solver="iterative")
+        inline = _optimize_on(monkeypatch, 1, cls, grid, **kwargs)
+
+        def unmappable(*args):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(optimize, "_SharedPairs", unmappable)
+        starts = []
+        fork_start = multiprocessing.context.ForkProcess.start
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            lambda process: (starts.append(None),
+                                             fork_start(process)))
+        pooled = _optimize_on(monkeypatch, 2, cls, grid, **kwargs)
+        assert len(starts) == 2  # the workers ran, each on its own memo
+        _assert_same_bytes(pooled, inline)
+        assert pooled.eigensolves >= pooled.solves
 
     @pytest.mark.parametrize("cpus,restarts,started", [
         (1, 8, 0), (3, 8, 3), (3, 2, 2), (8, 1, 0)])
@@ -483,6 +598,55 @@ class TestParallelRestarts:
         assert result.final_m.tobytes() == inline.final_m.tobytes()
         assert result.trace == inline.trace
 
+    @pytest.mark.parametrize("table_bytes", [optimize._TABLE_BYTES, 0])
+    def test_a_later_worker_reads_the_pairs_published(
+            self, monkeypatch, tmp_path, table_bytes):
+        # claims run one after the other: the taker of restart 0 starts it
+        # only when the other worker has ended all the rest, so it solves
+        # only what no other restart met, unless the table holds nothing
+        grid = build_grid("interval", [1.0], [32])
+        cls, _ = bang_bang_class(grid, 8)
+        inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=6, seed=1)
+        monkeypatch.setenv("CLAIM_RECORDS", str(tmp_path))
+        monkeypatch.setattr(optimize, "_TABLE_BYTES", table_bytes)
+        monkeypatch.setattr(optimize, "_worker", _patient_worker)
+        monkeypatch.setattr(optimize, "_run_restarts", _patient_restarts)
+        result = _optimize_on(monkeypatch, 2, cls, grid, restarts=6, seed=1)
+        assert len({pid for _, pid in _claim_records(tmp_path)}) == 2
+        _assert_same_bytes(result, inline)
+        if table_bytes:
+            assert result.eigensolves == result.solves
+        else:
+            assert result.eigensolves > result.solves
+
+    @pytest.mark.parametrize("ending", ["returns", "raises", "falls back"])
+    def test_no_worker_or_mapping_outlives_a_call(self, monkeypatch,
+                                                  ending):
+        grid = build_grid("interval", [1.0], [32])
+        cls, _ = bang_bang_class(grid, 8)
+        inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=4, seed=2)
+        tables = _record_tables(monkeypatch)
+        parent = os.getpid()
+
+        def ends_in_worker(*args, **kwargs):
+            if os.getpid() != parent and ending == "raises":
+                raise ValueError("the solve failed")
+            if os.getpid() != parent and ending == "falls back":
+                os._exit(1)
+            return principal_eigenpair(*args, **kwargs)
+
+        monkeypatch.setattr("eigenweight.optimize.principal_eigenpair",
+                            ends_in_worker)
+        if ending == "raises":
+            with pytest.raises(ValueError, match="the solve failed"):
+                _optimize_on(monkeypatch, 2, cls, grid, restarts=4, seed=2)
+        else:
+            result = _optimize_on(monkeypatch, 2, cls, grid, restarts=4,
+                                  seed=2)
+            _assert_same_bytes(result, inline)
+        assert multiprocessing.active_children() == []
+        assert len(tables) == 1 and tables[0].map.closed
+
     def test_a_failing_worker_ends_the_claims(self, monkeypatch):
         # the failing worker runs the counter out before it sends its error
         counter = multiprocessing.get_context("fork").Value("q", 0)
@@ -509,7 +673,7 @@ class TestParallelRestarts:
         monkeypatch.setattr(optimize, "_run_restarts", _failing_restarts)
         start = time.monotonic()
         with pytest.raises(ValueError, match="restart 1 failed"):
-            _parallel_runs(2, 12, ())
+            _parallel_runs(2, 12, _tiny_args())
         assert time.monotonic() - start < 0.5
         times = {record.name: float(record.read_text())
                  for record in tmp_path.iterdir()}
@@ -555,7 +719,7 @@ class TestParallelRestarts:
             monkeypatch.setattr(optimize, "_run_restarts",
                                 _report_blas_threads)
             with _one_blas_thread():
-                parts = _parallel_runs(2, 3, ())
+                parts = _parallel_runs(2, 3, _tiny_args())
             assert _openblas_thread_counts() == [2] * len(controls)
         finally:
             for (_, set_), count in zip(controls, before):
