@@ -160,8 +160,8 @@ class _SharedPairs:
         self.slots, self.claim = {}, None
 
     def get(self, key: bytes) -> EigenPair | None:
-        """The pair for ``key``; None after claiming its slot, or when the
-        table is full."""
+        """The pair for ``key``; None after claiming its slot, when the
+        table is full, or when the parent is gone."""
         with self.lock:
             count, = struct.unpack_from("q", self.map)
             for at in range(8 + len(self.slots) * self.size,
