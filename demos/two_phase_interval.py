@@ -2,7 +2,7 @@
 
 The weight is +1 on (0, 1/2) and -3 on (1/2, 1).  For this configuration
 the eigenvalue solves a closed-form matching equation, so we can watch the
-grid solver converge to it:
+grid solver converge to its root (``eigenweight.verify.two_phase_lambda1``):
 
     tan(sqrt(lam)/2) = sqrt(3) tanh(sqrt(3) sqrt(lam)/2)
 """
@@ -12,25 +12,11 @@ import math
 import numpy as np
 
 from eigenweight import build_grid, principal_eigenpair, weight_field
-
-
-def matching_root(tol=1e-12):
-    def g(lam):
-        s = math.sqrt(lam)
-        return math.tan(s / 2) - math.sqrt(3) * math.tanh(math.sqrt(3) * s / 2)
-
-    lo, hi = 1e-6, (math.pi) ** 2 * (1 - 1e-9)
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from eigenweight.verify import two_phase_lambda1
 
 
 def main():
-    lam_star = matching_root()
+    lam_star = two_phase_lambda1(1.0, 3.0, 0.5, 1.0)
     print(f"matching-equation root:  lambda1 = {lam_star:.10f}\n")
     print(f"{'n':>6} {'lambda1':>14} {'rel. error':>12}")
     prev = None

@@ -100,7 +100,7 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
         raise InvalidSpec(
             "initial density is too large: its mass or the stability "
             "guard's max|m| + 2 max v0 overflows")
-    n_steps = int(np.ceil(steps))
+    n_steps = max(1, int(np.ceil(steps)))  # so every run ends at t_end
 
     times = [0.0]
     mass = [mass0]

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import struct
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,15 +29,15 @@ from .errors import NotAdmissibleClass, IndivisibleStripes
 from .grid import Grid, as_field, assemble_stiffness, dct_eigenvalues
 from .rearrange import (RearrangementClass, _dealt_values,
                         comonotone_arrangement)
-from .spectral import (EigenPair, SolveStats, _one_blas_thread,
-                       principal_eigenpair, weight_field)
+from .spectral import (EigenPair, _one_blas_thread, principal_eigenpair,
+                       weight_field)
 
 
 #: per-line label indexed by 2 * nonincreasing + nondecreasing
 _LINE_LABELS = np.array(["none", "increasing", "decreasing", "constant"])
 
 #: bytes of the table of solved pairs that a parallel call's workers
-#: share; a slot takes 8 bytes a cell and 104 more
+#: share; a slot takes 8 bytes a cell and 544 more
 _TABLE_BYTES = 1 << 24
 
 
@@ -61,8 +62,9 @@ class OptimizationResult:
     ``trace`` lists (iteration, mu1, lambda1, changed_cells) for the best
     restart; mu1 is nondecreasing along it.  ``solves`` counts the
     distinct arrangements solved in the whole call, every restart
-    included; ``eigensolves`` counts the eigensolves the call ran, more
-    only when the workers' shared table is full.
+    included.  ``eigensolves`` counts the eigensolves the call ran; it
+    exceeds ``solves`` only when the workers' table is full and two
+    workers both solve an arrangement it had no slot for.
     ``comonotone_violations`` counts cell pairs ordered against the final
     eigenfunction (zero at a true fixed point) and ``monotone_x1``
     summarizes the final weight's monotonicity along the first axis.
@@ -135,33 +137,41 @@ def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
     return np.random.default_rng(child).permutation(canonical)
 
 
-class _SharedPairs:
-    """Solved pairs that the forked workers of one call share.
+class _SharedPairs(dict):
+    """The memo of a forked worker: the pairs its process met, and a table
+    of the pairs that the workers of one call share.
 
-    A fill count and slots of (digest, ``HEAD``, u) lie in an anonymous
-    shared mapping made before the fork and never touched by the parent,
-    so only the slots the workers fill become resident.  A worker that
-    misses claims the next slot under ``lock``; one that meets a claimed
-    arrangement waits until its slot is filled, or its parent is gone.
+    A fill count and slots of (digest, head, u) lie in an anonymous shared
+    mapping made before the fork and never touched by the parent, so only
+    the slots the workers fill become resident.  A slot's head is its pair
+    pickled without u.  A worker that misses claims the next slot under
+    ``lock`` and fills it when it stores the pair; one that meets a claimed
+    arrangement waits until its slot is filled, or its parent is gone.  A
+    full table claims nothing: its workers solve what they miss, each
+    worker an arrangement at most once.
     """
 
-    #: filled flag, mu1, lambda1, residual, sigma (NaN for None), applies,
-    #: halvings and path of a slot's pair
-    HEAD = struct.Struct("q4d2q16s")
+    #: bytes of a slot's head; the pickle of a shift-invert pair takes
+    #: about 210, and a zero first byte marks a slot not yet filled
+    HEAD = 512
 
     def __init__(self, most: int, n_cells: int, lock):
         import mmap  # only a run that forks loads it
-        self.n, self.size = n_cells, 32 + self.HEAD.size + 8 * n_cells
+        super().__init__()
+        self.n, self.size = n_cells, 32 + self.HEAD + 8 * n_cells
         self.capacity = min(most, _TABLE_BYTES // self.size)
         self.map = mmap.mmap(-1, 8 + self.capacity * self.size)
         self.lock, self.parent = lock, os.getpid()
-        # this process's digest -> offset of each slot read (digests are
-        # claimed once each), and its open claim
+        # digest -> offset of each slot read (digests are claimed once
+        # each), and this process's open claim
         self.slots, self.claim = {}, None
 
     def get(self, key: bytes) -> EigenPair | None:
-        """The pair for ``key``; None after claiming its slot, when the
-        table is full, or when the parent is gone."""
+        """The pair for ``key``, waiting for it while another worker solves
+        it; None after claiming its slot, when the table is full, or when
+        the parent is gone."""
+        if key in self:
+            return self[key]
         with self.lock:
             count, = struct.unpack_from("q", self.map)
             for at in range(8 + len(self.slots) * self.size,
@@ -174,62 +184,49 @@ class _SharedPairs:
                 struct.pack_into("q", self.map, 0, count + 1)
         while at is not None:
             with self.lock:
-                filled, mu1, lambda1, residual, sigma, applies, halvings, \
-                    path = self.HEAD.unpack_from(self.map, at + 32)
-            if filled:
-                u = np.frombuffer(self.map, np.float64, self.n,
-                                  at + 32 + self.HEAD.size).copy()
-                return EigenPair(mu1, lambda1, u, residual, SolveStats(
-                    path.rstrip(b"\0").decode(), applies,
-                    None if np.isnan(sigma) else sigma, halvings))
+                head = self.map[at + 32:at + 32 + self.HEAD]
+            if head[0]:  # a pickle starts with 0x80
+                return replace(pickle.loads(head), u=np.frombuffer(
+                    self.map, np.float64, self.n, at + 32 + self.HEAD).copy())
             if os.getppid() != self.parent:
                 break
             time.sleep(0.0005)  # another worker is solving it
         return None
 
-    def put(self, pair: EigenPair) -> None:
-        """Fill the slot this process claimed, if any."""
+    def __setitem__(self, key: bytes, pair: EigenPair) -> None:
+        """Keep ``pair``, and fill the slot this process claimed, if any."""
+        super().__setitem__(key, pair)
         at, self.claim = self.claim, None
         if at is not None:
-            stats = pair.stats
+            head = pickle.dumps(replace(pair, u=None)).ljust(self.HEAD, b"\0")
             with self.lock:
-                self.map[at + 32 + self.HEAD.size:at + self.size] = pair.u
-                self.HEAD.pack_into(
-                    self.map, at + 32, 1, pair.mu1, pair.lambda1,
-                    pair.residual, np.nan if stats.sigma is None
-                    else stats.sigma, stats.applies, stats.halvings,
-                    stats.path.encode())
+                self.map[at + 32 + self.HEAD:at + self.size] = pair.u
+                self.map[at + 32:at + 32 + self.HEAD] = head
 
 
 def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
-                  max_iters: int, tol: float, solver: str,
-                  table: _SharedPairs | None = None) -> tuple:
+                  max_iters: int, tol: float, solver: str, memo) -> tuple:
     """The fixed-point sweeps of the restarts an iterable yields in
     increasing order (the whole range, or a worker's claims).  Returns
     the best run as (mu1, restart, m, pair, trace, converged), ties
     toward the earlier restart (None if none ran), the sha256 digests of
-    the arrangements solved, and the count of eigensolves run.  The
-    restarts share one memo from digest to eigenpair: a restart that
-    reaches an arrangement solved before reuses the pair and follows the
-    earlier path with sweeps alone.  Misses go on to ``table``, if given,
-    which gets each pair solved."""
-    solved, eigensolves = {}, 0
-    best = None
+    the arrangements met, and the count of eigensolves run.  The restarts
+    share ``memo``, which maps a digest to its eigenpair (a dict inline,
+    a worker's ``_SharedPairs``) and keeps every pair stored in it: a
+    restart that reaches an arrangement solved before reuses the pair and
+    follows the earlier path with sweeps alone."""
+    eigensolves, best = 0, None
     for restart in restarts:
         m = _start_field(cls, grid, restart, seed)
         trace, changed, converged = [], 0, False
         for it in range(max_iters + 1):
             key = hashlib.sha256(m.tobytes()).digest()
-            pair = solved.get(key)
-            if pair is None and table is not None:
-                pair = table.get(key)
+            pair = memo.get(key)
             if pair is None:
                 pair = principal_eigenpair(
                     weight_field(grid, m), solver=solver, tol=tol)
                 eigensolves += 1
-                if table is not None:
-                    table.put(pair)
-            solved[key] = pair
+            memo[key] = pair
             trace.append((it, pair.mu1, pair.lambda1, changed))
             if it == max_iters:
                 break
@@ -242,7 +239,7 @@ def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
             m = m_next
         if best is None or pair.mu1 > best[0]:
             best = (pair.mu1, restart, m, pair, tuple(trace), converged)
-    return best, set(solved), eigensolves
+    return best, set(memo), eigensolves
 
 
 def _usable_cpus() -> int:
@@ -252,11 +249,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker(counter, restarts: int, args: tuple, conn, table=None) -> None:
-    """A forked worker: ``_run_restarts`` on the restarts it claims one at
-    a time from the shared counter, each index by one worker only, and
-    ``table``; sends the result through ``conn``, or ends the claims and
-    sends the error."""
+def _worker(counter, restarts: int, args: tuple, conn, memo) -> None:
+    """A forked worker: ``_run_restarts`` on ``memo`` and the restarts it
+    claims one at a time from the shared counter, each index by one worker
+    only; sends the result through ``conn``, or ends the claims and sends
+    the error."""
     def claimed():
         while True:
             with counter.get_lock():
@@ -265,7 +262,7 @@ def _worker(counter, restarts: int, args: tuple, conn, table=None) -> None:
                 return
             yield restart
     try:
-        conn.send(_run_restarts(claimed(), *args, table))
+        conn.send(_run_restarts(claimed(), *args, memo))
     except Exception as exc:
         with counter.get_lock():
             counter.value = restarts
@@ -274,9 +271,9 @@ def _worker(counter, restarts: int, args: tuple, conn, table=None) -> None:
 
 def _parallel_runs(workers: int, restarts: int, args: tuple):
     """``_run_restarts`` in ``workers`` forked processes that claim the
-    restarts from one shared counter and share one table of solved pairs
-    (none if it cannot be mapped), or None when they cannot run (no fork,
-    or a worker died); the first error to arrive propagates."""
+    restarts from one shared counter and share one table of solved pairs,
+    or None when they cannot run (no fork, no mapping for the table, or a
+    worker died); the first error to arrive propagates."""
     import multiprocessing.connection  # only a run that forks loads it
     try:  # forked, not spawned: a spawned worker's imports outlast a restart
         context = multiprocessing.get_context("fork")
@@ -284,35 +281,31 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
         return None
     counter = context.Value("q", 0)
     _, grid, _, max_iters, _, _ = args
+    processes, readers, runs = [], [], []
     try:
         table = _SharedPairs(restarts * (max_iters + 1), grid.n_cells,
                              counter.get_lock())
-    except OSError:
-        table = None
-    processes, readers, runs = [], [], []
-    try:
-        for _ in range(workers):
-            reader, writer = context.Pipe(duplex=False)
-            processes.append(context.Process(
-                target=_worker,
-                args=(counter, restarts, args, writer, table)))
-            processes[-1].start()
-            writer.close()  # before the next fork, so only its worker holds it
-            readers.append(reader)
-        while readers:
-            for reader in multiprocessing.connection.wait(readers):
-                readers.remove(reader)
-                runs.append(reader.recv())
-                if isinstance(runs[-1], Exception):
-                    raise runs[-1]
+        with table.map:
+            for _ in range(workers):
+                reader, writer = context.Pipe(duplex=False)
+                processes.append(context.Process(
+                    target=_worker,
+                    args=(counter, restarts, args, writer, table)))
+                processes[-1].start()
+                writer.close()  # before the next fork, for its worker alone
+                readers.append(reader)
+            while readers:
+                for reader in multiprocessing.connection.wait(readers):
+                    readers.remove(reader)
+                    runs.append(reader.recv())
+                    if isinstance(runs[-1], Exception):
+                        raise runs[-1]
     except (OSError, EOFError):
         return None
     finally:
         for process in processes:
             process.terminate()
             process.join()
-        if table is not None:
-            table.map.close()
     return runs
 
 
@@ -331,11 +324,12 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
 
     Restarts are independent until they are compared, so they run in
     W = min(restarts, usable CPUs) forked workers, each claiming the next
-    unclaimed restart whenever it ends one, or inline when W is one or no
-    worker starts; either way several restarts solve at one BLAS thread.
-    Solves are deterministic, so no outcome depends on which worker ran a
-    restart.  The workers share one table of solved pairs, so each
-    distinct arrangement is solved once unless the table is full.
+    unclaimed restart whenever it ends one, or inline when W is one or the
+    workers cannot run (no fork, no shared mapping, or a worker died);
+    either way several restarts solve at one BLAS thread.  Solves are
+    deterministic, so no outcome depends on which worker ran a restart.
+    The workers share one table of solved pairs, so each distinct
+    arrangement is solved once unless the table is full.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(
@@ -351,7 +345,7 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     # one BLAS thread wherever restarts run: the CPU count changes no byte
     with _one_blas_thread() if restarts > 1 else nullcontext():
         parts = (workers > 1 and _parallel_runs(workers, restarts, args)
-                 or [_run_restarts(range(restarts), *args)])
+                 or [_run_restarts(range(restarts), *args, {})])
     _, _, m, pair, trace, converged = max(
         (run for run, *_ in parts if run), key=lambda run: (run[0], -run[1]))
     return OptimizationResult(

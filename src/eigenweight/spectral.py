@@ -335,6 +335,9 @@ def _eigh_in_place(A: np.ndarray, S: np.ndarray, **kwargs):
 def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
                         stats: SolveStats) -> EigenPair:
     """Sign-fix, normalize u^T K u = 1 and attach the V_m residual."""
+    if not mu1 > 0:
+        raise SingularSystem(f"the solver's mu1 = {mu1:g} is not positive: "
+                             "the weight's positive part is lost to rounding")
     K = assemble_stiffness(m.grid)
     q = _weighted_values(m)
     if u[np.argmax(np.abs(u))] < 0:
@@ -578,9 +581,7 @@ def principal_eigenpair(m: WeightField, solver: str = "dense",
     if solver == "dense":
         A, S, lift = _dense_pencil(unit)
         top = A.shape[0] - 1
-        vals, vecs = _eigh_in_place(A, S, subset_by_index=[top, top])
-        if vals[0] <= 0:  # pragma: no cover - admissible weights have mu1 > 0
-            raise NoPositivePart("pencil has no positive eigenvalue")
+        _, vecs = _eigh_in_place(A, S, subset_by_index=[top, top])
         # eigh's eigenvalue carries the error of the Cholesky factor of S,
         # whose condition grows like n^2; the Rayleigh quotient of its
         # vector errs only by the square of the vector's error

@@ -340,6 +340,20 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith(
             "solver error: stability guard needs inf")
 
+    def test_positive_part_lost_to_rounding_exit_4(self, tmp_path, capsys):
+        # 1e-100 on one cell against -1 elsewhere: the dense pencil's mu1
+        # comes out negative, which is no lambda1 to write
+        values = [-1.0] * 64
+        values[4] = 1e-100
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(config_text(
+            weight={"kind": "explicit", "values": values},
+            solve={"solver": "dense"}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "mu1 = -" in capsys.readouterr().err
+        assert not (out / "eigenpair.json").exists()
+
     @pytest.mark.parametrize("gamma", [0.0, 3.0])
     def test_overflowing_initial_density_exit_3(self, tmp_path, capsys,
                                                 gamma):

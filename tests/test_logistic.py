@@ -83,6 +83,17 @@ def test_macro_step_cap(setup_1d, dt, t_end):
         simulate_logistic(m, 1.0, np.full(64, 0.01), dt=dt, t_end=t_end)
 
 
+@pytest.mark.parametrize("t_end", [1e-13, 1e-300])
+def test_a_run_shorter_than_the_rounding_allowance_takes_one_step(
+        setup_1d, t_end):
+    # t_end / dt falls below the 1e-12 allowed for rounding: one macro
+    # step still runs, and it ends at t_end
+    _, m, _ = setup_1d
+    traj = simulate_logistic(m, 1.0, np.full(64, 0.01), dt=1.0, t_end=t_end)
+    assert traj.times.tolist() == [0.0, t_end]
+    assert traj.substeps == 1 and traj.total_mass.size == 2
+
+
 def test_unstable_guard(setup_1d):
     _, m, _ = setup_1d
     with pytest.raises(UnstableStep):
