@@ -205,7 +205,8 @@ class _SharedPairs(dict):
 
 
 def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
-                  max_iters: int, tol: float, solver: str, memo) -> tuple:
+                  max_iters: int, tol: float, solver: str,
+                  memo: dict) -> tuple:
     """The fixed-point sweeps of the restarts an iterable yields in
     increasing order (the whole range, or a worker's claims).  Returns
     the best run as (mu1, restart, m, pair, trace, converged), ties
@@ -249,7 +250,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker(counter, restarts: int, args: tuple, conn, memo) -> None:
+def _worker(counter, restarts: int, args: tuple, conn, memo: dict) -> None:
     """A forked worker: ``_run_restarts`` on ``memo`` and the restarts it
     claims one at a time from the shared counter, each index by one worker
     only; sends the result through ``conn``, or ends the claims and sends
