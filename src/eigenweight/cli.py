@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .grid import Grid, build_grid, integrate
+from .grid import Grid, build_grid
 from .grid import assemble_stiffness as _assemble_stiffness
 from .logistic import simulate_logistic
 from .optimize import minimize_lambda1, oscillating_arrangement
@@ -127,9 +127,10 @@ def _number(value, key: str) -> float:
 
 
 def _integer(value, key: str, minimum: int, maximum=None) -> int:
-    """A whole number in [minimum, maximum], or a ValidationError."""
-    number = _number(value, key)
-    if not (number.is_integer() and number >= minimum):
+    """A whole number in [minimum, maximum], or a ValidationError; an int
+    stays exact, and a whole float such as 16.0 converts."""
+    number = value if isinstance(value, int) else _number(value, key)
+    if not (number % 1 == 0 and number >= minimum):
         raise errors.ValidationError(
             f"{key} must be a whole number of at least {minimum}, "
             f"got {value!r}")
@@ -292,12 +293,6 @@ def _weight_values(weight, grid: Grid) -> np.ndarray:
         n_pos = min(max(n_pos, 1), grid.n_cells - 1)
         values = np.full(grid.n_cells, neg)
         values[:n_pos] = pos
-        # the field rounded to cells is what gets solved
-        total = integrate(grid, values)
-        if total >= 0:
-            raise errors.ValidationError(
-                f"admissibility violated: ∫m ≥ 0 (integral {total:g} "
-                f"over {grid.n_cells} cells)")
         return values
     if kind == "explicit":
         values = _numbers(_list(_require(weight, "values", "weight"),

@@ -144,11 +144,11 @@ class _SharedPairs(dict):
     A fill count and slots of (digest, head, u) lie in an anonymous shared
     mapping made before the fork and never touched by the parent, so only
     the slots the workers fill become resident.  A slot's head is its pair
-    pickled without u.  A worker that misses claims the next slot under
-    ``lock`` and fills it when it stores the pair; one that meets a claimed
-    arrangement waits until its slot is filled, or its parent is gone.  A
-    full table claims nothing: its workers solve what they miss, each
-    worker an arrangement at most once.
+    pickled without u.  ``lock`` is the table's own.  A worker that misses
+    claims the next slot and fills it when it stores the pair; one that
+    meets a claimed arrangement waits until its slot is filled, or its
+    parent is gone.  A full table claims nothing: its workers solve what
+    they miss, each worker an arrangement at most once.
     """
 
     #: bytes of a slot's head; the pickle of a shift-invert pair takes
@@ -204,43 +204,38 @@ class _SharedPairs(dict):
                 self.map[at + 32:at + 32 + self.HEAD] = head
 
 
-def _run_restarts(restarts, cls: RearrangementClass, grid: Grid, seed,
-                  max_iters: int, tol: float, solver: str,
-                  memo: dict) -> tuple:
-    """The fixed-point sweeps of the restarts an iterable yields in
-    increasing order (the whole range, or a worker's claims).  Returns
-    the best run as (mu1, restart, m, pair, trace, converged), ties
-    toward the earlier restart (None if none ran), the sha256 digests of
-    the arrangements met, and the count of eigensolves run.  The restarts
-    share ``memo``, which maps a digest to its eigenpair (a dict inline,
-    a worker's ``_SharedPairs``) and keeps every pair stored in it: a
-    restart that reaches an arrangement solved before reuses the pair and
-    follows the earlier path with sweeps alone."""
-    eigensolves, best = 0, None
-    for restart in restarts:
-        m = _start_field(cls, grid, restart, seed)
-        trace, changed, converged = [], 0, False
-        for it in range(max_iters + 1):
-            key = hashlib.sha256(m.tobytes()).digest()
-            pair = memo.get(key)
-            if pair is None:
-                pair = principal_eigenpair(
-                    weight_field(grid, m), solver=solver, tol=tol)
-                eigensolves += 1
-            memo[key] = pair
-            trace.append((it, pair.mu1, pair.lambda1, changed))
-            if it == max_iters:
-                break
-            m_next = comonotone_arrangement(cls, pair.u, grid)
-            changed = int(np.count_nonzero(m_next != m))
-            if changed == 0:
-                converged = True
-                trace.append((it + 1, pair.mu1, pair.lambda1, 0))
-                break
-            m = m_next
-        if best is None or pair.mu1 > best[0]:
-            best = (pair.mu1, restart, m, pair, tuple(trace), converged)
-    return best, set(memo), eigensolves
+def _run_restart(restart: int, cls: RearrangementClass, grid: Grid, seed,
+                 max_iters: int, tol: float, solver: str,
+                 memo: dict) -> tuple:
+    """The fixed-point sweeps of one restart: its run (mu1, restart, m,
+    pair, trace, converged), the sha256 digests of the arrangements it met
+    and the count of eigensolves it ran.  ``memo`` (a dict inline, a
+    worker's ``_SharedPairs``) maps a digest to its pair and keeps every
+    pair stored in it, so a restart that reaches an arrangement solved
+    before follows the earlier path with sweeps alone."""
+    m = _start_field(cls, grid, restart, seed)
+    trace, changed, converged, seen, eigensolves = [], 0, False, set(), 0
+    for it in range(max_iters + 1):
+        key = hashlib.sha256(m.tobytes()).digest()
+        seen.add(key)
+        pair = memo.get(key)
+        if pair is None:
+            pair = principal_eigenpair(
+                weight_field(grid, m), solver=solver, tol=tol)
+            eigensolves += 1
+        memo[key] = pair
+        trace.append((it, pair.mu1, pair.lambda1, changed))
+        if it == max_iters:
+            break
+        m_next = comonotone_arrangement(cls, pair.u, grid)
+        changed = int(np.count_nonzero(m_next != m))
+        if changed == 0:
+            converged = True
+            trace.append((it + 1, pair.mu1, pair.lambda1, 0))
+            break
+        m = m_next
+    return ((pair.mu1, restart, m, pair, tuple(trace), converged), seen,
+            eigensolves)
 
 
 def _usable_cpus() -> int:
@@ -250,57 +245,49 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker(counter, restarts: int, args: tuple, conn, memo: dict) -> None:
-    """A forked worker: ``_run_restarts`` on ``memo`` and the restarts it
-    claims one at a time from the shared counter, each index by one worker
-    only; sends the result through ``conn``, or ends the claims and sends
-    the error."""
-    def claimed():
-        while True:
-            with counter.get_lock():
-                restart, counter.value = counter.value, counter.value + 1
-            if restart >= restarts:
-                return
-            yield restart
+def _worker(conn, args: tuple, memo: dict) -> None:
+    """A forked worker: answers each restart the parent sends through the
+    duplex pipe ``conn`` with its ``_run_restart``, or with an error."""
     try:
-        conn.send(_run_restarts(claimed(), *args, memo))
+        while True:
+            conn.send(_run_restart(conn.recv(), *args, memo))
     except Exception as exc:
-        with counter.get_lock():
-            counter.value = restarts
         conn.send(exc)
 
 
 def _parallel_runs(workers: int, restarts: int, args: tuple):
-    """``_run_restarts`` in ``workers`` forked processes that claim the
-    restarts from one shared counter and share one table of solved pairs,
-    or None when they cannot run (no fork, no mapping for the table, or a
-    worker died); the first error to arrive propagates."""
+    """The ``_run_restart`` of every restart from ``workers`` forked
+    processes that share one table of solved pairs, or None when they
+    cannot run (no fork, no mapping for the table, or a worker died).
+    Each worker gets a first restart, then the next one left whenever it
+    sends back a run; the first error is raised at once, and no restart is
+    sent after it."""
     import multiprocessing.connection  # only a run that forks loads it
     try:  # forked, not spawned: a spawned worker's imports outlast a restart
         context = multiprocessing.get_context("fork")
     except ValueError:
         return None
-    counter = context.Value("q", 0)
     _, grid, _, max_iters, _, _ = args
-    processes, readers, runs = [], [], []
+    processes, conns, runs = [], [], []
     try:
         table = _SharedPairs(restarts * (max_iters + 1), grid.n_cells,
-                             counter.get_lock())
+                             context.Lock())
         with table.map:
-            for _ in range(workers):
-                reader, writer = context.Pipe(duplex=False)
+            for restart in range(workers):  # a first restart each
+                conn, theirs = context.Pipe()
                 processes.append(context.Process(
-                    target=_worker,
-                    args=(counter, restarts, args, writer, table)))
+                    target=_worker, args=(theirs, args, table)))
                 processes[-1].start()
-                writer.close()  # before the next fork, for its worker alone
-                readers.append(reader)
-            while readers:
-                for reader in multiprocessing.connection.wait(readers):
-                    readers.remove(reader)
-                    runs.append(reader.recv())
-                    if isinstance(runs[-1], Exception):
-                        raise runs[-1]
+                theirs.close()  # before the next fork, for its worker alone
+                conn.send(restart)
+                conns.append(conn)
+            for restart in range(workers, restarts + workers):
+                conn = multiprocessing.connection.wait(conns)[0]
+                runs.append(conn.recv())
+                if isinstance(runs[-1], Exception):
+                    raise runs[-1]
+                if restart < restarts:  # to the worker that is now free
+                    conn.send(restart)
     except (OSError, EOFError):
         return None
     finally:
@@ -323,14 +310,15 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     lambda1) wins, ties resolved toward the earlier restart.  Hitting
     ``max_iters`` is reported through ``converged=False``, not an error.
 
-    Restarts are independent until they are compared, so they run in
-    W = min(restarts, usable CPUs) forked workers, each claiming the next
-    unclaimed restart whenever it ends one, or inline when W is one or the
-    workers cannot run (no fork, no shared mapping, or a worker died);
-    either way several restarts solve at one BLAS thread.  Solves are
-    deterministic, so no outcome depends on which worker ran a restart.
-    The workers share one table of solved pairs, so each distinct
-    arrangement is solved once unless the table is full.
+    Restarts are independent until they are compared, so this process
+    hands them out one at a time to W = min(restarts, usable CPUs) forked
+    workers, or runs them inline when W is one or the workers cannot run
+    (no fork, no shared mapping, or a worker died); either way several
+    restarts solve at one BLAS thread.  Every run comes back here, where
+    the best is chosen once; solves are deterministic, so no outcome
+    depends on which worker ran a restart.  The workers share one table
+    of solved pairs, so each distinct arrangement is solved once unless
+    the table is full.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(
@@ -345,15 +333,17 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     dct_eigenvalues(grid)
     # one BLAS thread wherever restarts run: the CPU count changes no byte
     with _one_blas_thread() if restarts > 1 else nullcontext():
-        parts = (workers > 1 and _parallel_runs(workers, restarts, args)
-                 or [_run_restarts(range(restarts), *args, {})])
+        memo = {}
+        runs = (workers > 1 and _parallel_runs(workers, restarts, args)
+                or [_run_restart(restart, *args, memo)
+                    for restart in range(restarts)])
     _, _, m, pair, trace, converged = max(
-        (run for run, *_ in parts if run), key=lambda run: (run[0], -run[1]))
+        (run for run, _, _ in runs), key=lambda run: (run[0], -run[1]))
     return OptimizationResult(
         final_m=m, final_pair=pair, trace=trace, converged=converged,
         restarts_used=restarts,
-        solves=len(set().union(*(seen for _, seen, _ in parts))),
-        eigensolves=sum(count for _, _, count in parts),
+        solves=len(set().union(*(seen for _, seen, _ in runs))),
+        eigensolves=sum(count for _, _, count in runs),
         comonotone_violations=count_comonotone_violations(m, pair.u, grid),
         monotone_x1=check_monotone_x1(m, grid))
 

@@ -52,6 +52,7 @@ do not depend on the process's BLAS thread count.
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
@@ -102,6 +103,11 @@ _ARPACK_SEED = 0x5EED
 _SHIFT_TOL = 0.5
 _SHIFT_SHARE = 0.8
 _SHIFT_HALVINGS = 30
+
+#: mu1 must exceed this many times eps max|q| / kappa, kappa the least
+#: nonzero eigenvalue of K: with one small positive cell among 64 at -1,
+#: the dense u's residual is 0.004 at 50-100 times that and 0.25 at 0.5-1
+_ROUNDING_MARGIN = 100.0
 
 #: OpenBLAS thread-count entry points, newest naming first
 _THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
@@ -334,10 +340,18 @@ def _eigh_in_place(A: np.ndarray, S: np.ndarray, **kwargs):
 
 def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
                         stats: SolveStats) -> EigenPair:
-    """Sign-fix, normalize u^T K u = 1 and attach the V_m residual."""
-    if not mu1 > 0:
-        raise SingularSystem(f"the solver's mu1 = {mu1:g} is not positive: "
-                             "the weight's positive part is lost to rounding")
+    """Sign-fix, normalize u^T K u = 1 and attach the V_m residual.  A mu1
+    not ``_ROUNDING_MARGIN`` times above the pencil's rounding level is
+    lost to rounding; a residual cannot tell, since accurate solves on
+    cells of aspect ratio 10^6 report residuals near 1."""
+    # kappa is the least over the axes of w 4 sin^2(pi / 2n) / h^2; w cancels
+    level = _ROUNDING_MARGIN * np.finfo(float).eps * np.abs(m.values).max() \
+        * max(h * h / (4 * math.sin(math.pi / (2 * n)) ** 2)
+              for n, h in zip(m.grid.shape, m.grid.spacing))
+    if not mu1 > level:
+        raise SingularSystem(f"the solver's mu1 = {mu1:g} is not above "
+                             f"{level:g}: the weight's positive part is lost "
+                             "to rounding")
     K = assemble_stiffness(m.grid)
     q = _weighted_values(m)
     if u[np.argmax(np.abs(u))] < 0:

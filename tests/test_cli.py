@@ -43,6 +43,19 @@ def config_text(**overrides):
     return json.dumps(doc)
 
 
+def _assert_library_decides_admissibility(tmp_path, capsys, text):
+    """A weight with a nonnegative integral parses: solve and optimize exit
+    3 naming the integral, while simulate and rearrange run."""
+    cfg = tmp_path / "weight.json"
+    cfg.write_text(text)
+    for command, code in (("solve", 3), ("optimize", 3), ("simulate", 0),
+                          ("rearrange", 0)):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / command)]) == code, command
+        err = capsys.readouterr().err
+        assert ("integral" in err) == (code == 3), (command, err)
+
+
 class TestParseConfig:
     def test_valid_bang_bang(self):
         config = parse_config(config_text())
@@ -51,22 +64,28 @@ class TestParseConfig:
         assert m.integral == pytest.approx(-1.25)
         assert m.is_admissible
 
-    def test_nonnegative_integral_rejected(self):
-        text = config_text(weight={"kind": "bang_bang",
-                                   "positive_value": 1.0,
-                                   "negative_value": -1.0,
-                                   "positive_fraction": 0.9})
-        with pytest.raises(ValidationError, match="∫m ≥ 0"):
-            parse_config(text)
+    def test_nonnegative_integral_rejected(self, tmp_path, capsys):
+        _assert_library_decides_admissibility(tmp_path, capsys, config_text(
+            weight={"kind": "bang_bang", "positive_value": 1.0,
+                    "negative_value": -1.0, "positive_fraction": 0.9}))
 
-    def test_bang_bang_admissibility_on_rounded_field(self):
+    def test_bang_bang_admissibility_on_rounded_field(self, tmp_path,
+                                                      capsys):
         # fraction 0.3 has mean -0.1, but on 2 cells it rounds to +2 | -1
-        text = config_text(
+        _assert_library_decides_admissibility(tmp_path, capsys, config_text(
             domain={"type": "interval", "extents": [1.0], "shape": [2]},
             weight={"kind": "bang_bang", "positive_value": 2.0,
-                    "negative_value": -1.0, "positive_fraction": 0.3})
-        with pytest.raises(ValidationError, match="∫m ≥ 0"):
-            parse_config(text)
+                    "negative_value": -1.0, "positive_fraction": 0.3}))
+
+    @pytest.mark.parametrize("seed", [2 ** 53 + 1, 2 ** 64 + 1])
+    def test_integer_above_2_53_stays_exact(self, seed):
+        config = parse_config(config_text(optimize=dict(
+            BASE_CONFIG["optimize"], seed=seed)))
+        assert config.optimize["seed"] == seed
+        config = parse_config(config_text(optimize=dict(
+            BASE_CONFIG["optimize"], seed=16.0)))
+        assert type(config.optimize["seed"]) is int
+        assert config.optimize["seed"] == 16
 
     def test_missing_shape_named(self):
         doc = json.loads(config_text())
@@ -339,6 +358,24 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err.startswith(
             "solver error: stability guard needs inf")
+
+    @pytest.mark.parametrize("solver", ["dense", "iterative"])
+    def test_positive_part_lost_to_rounding_exit_4_everywhere(
+            self, tmp_path, capsys, solver):
+        # 1e-100 on any one of 64 cells against -1 elsewhere: mu1 is far
+        # below the pencil's rounding level wherever the cell lies
+        for cell in range(64):
+            values = [-1.0] * 64
+            values[cell] = 1e-100
+            cfg = tmp_path / f"tiny{cell}.json"
+            cfg.write_text(config_text(
+                weight={"kind": "explicit", "values": values},
+                solve={"solver": solver}))
+            out = tmp_path / f"out{cell}"
+            assert main(["solve", "--config", str(cfg),
+                         "--out", str(out)]) == 4, cell
+            assert not (out / "eigenpair.json").exists()
+        capsys.readouterr()
 
     def test_positive_part_lost_to_rounding_exit_4(self, tmp_path, capsys):
         # 1e-100 on one cell against -1 elsewhere: the dense pencil's mu1

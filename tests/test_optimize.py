@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import multiprocessing.context
 import os
@@ -30,7 +31,7 @@ from eigenweight import (
     weight_field,
 )
 from eigenweight import optimize
-from eigenweight.optimize import (_parallel_runs, _run_restarts,
+from eigenweight.optimize import (_parallel_runs, _run_restart,
                                   _start_field, _worker)
 from eigenweight.spectral import (EigenPair, SolveStats,
                                   _blas_thread_controls, _one_blas_thread)
@@ -299,7 +300,8 @@ def _assert_same_bytes(result, inline):
 
 
 def _tiny_args():
-    """``_run_restarts``'s arguments after the restarts, on 32 cells."""
+    """``_run_restart``'s arguments between the restart and the memo, on
+    32 cells."""
     grid = build_grid("interval", [1.0], [32])
     return (bang_bang_class(grid, 8)[0], grid, 0, 200, 1e-12, "dense")
 
@@ -333,77 +335,58 @@ def _openblas_thread_counts() -> list:
     return [get() for get, _ in _blas_thread_controls()]
 
 
-# Stand-ins for ``_worker`` and ``_run_restarts``; they run in forked
-# workers.
+# Stand-ins for ``_run_restart``; they run in forked workers.
 
-#: (shared counter, restarts) as this process's ``_patient_worker`` got them
-_HELD = []
-
-
-def _recorded_restarts(restarts, *args):
-    """``_run_restarts``, recording each restart it takes as a file
-    <restart>.<pid> in $CLAIM_RECORDS; a second take by one process
-    fails."""
-    def recorded():
-        for restart in restarts:
-            Path(os.environ["CLAIM_RECORDS"],
-                 f"{restart}.{os.getpid()}").touch(exist_ok=False)
-            yield restart
-    return _run_restarts(recorded(), *args)
+def _recorded_restart(restart, *args):
+    """``_run_restart``, recording each restart it takes as a file
+    <restart>.<pid> in $RESTART_RECORDS; a second take of a restart by one
+    process fails."""
+    Path(os.environ["RESTART_RECORDS"],
+         f"{restart}.{os.getpid()}").touch(exist_ok=False)
+    return _run_restart(restart, *args)
 
 
-def _patient_worker(counter, restarts, *args):
-    """``_worker``, keeping its counter where ``_patient_restarts`` finds
-    it."""
-    _HELD.append((counter, restarts))
-    _worker(counter, restarts, *args)
+def _patient_restart(restart, *args, total):
+    """``_recorded_restart``, marking each end as a file end.<restart> in
+    $RESTART_RECORDS; the taker of restart 0 holds it until the other
+    ``total - 1`` restarts have ended, for at most 60 s."""
+    records = Path(os.environ["RESTART_RECORDS"])
+    deadline = time.monotonic() + 60
+    while (restart == 0 and len(list(records.glob("end.*"))) < total - 1
+           and time.monotonic() < deadline):
+        time.sleep(0.005)
+    run = _recorded_restart(restart, *args)
+    (records / f"end.{restart}").touch()
+    return run
 
 
-def _patient_restarts(restarts, *args):
-    """``_recorded_restarts`` whose taker of restart 0 holds it until the
-    counter passes the restart count, which a worker's claim moves only
-    after it ended its last restart, for at most 60 s."""
-    counter, total = _HELD[-1]
-
-    def patient():
-        for restart in restarts:
-            deadline = time.monotonic() + 60
-            while (restart == 0 and counter.value <= total
-                   and time.monotonic() < deadline):
-                time.sleep(0.005)
-            yield restart
-    return _recorded_restarts(patient(), *args)
-
-
-def _claim_records(path: Path) -> list:
-    """(restart, pid) of every take ``_recorded_restarts`` recorded."""
+def _taken_restarts(path: Path) -> list:
+    """(restart, pid) of every take ``_recorded_restart`` recorded."""
     return sorted(tuple(map(int, record.name.split(".")))
-                  for record in path.iterdir())
+                  for record in path.glob("[0-9]*"))
 
 
-#: seconds that every restart of ``_failing_restarts`` but the failing
-#: one takes
+#: seconds that every restart of ``_failing_restart`` but the failing one
+#: takes
 _RESTART_S = 1.0
 
 
-def _failing_restarts(restarts, *args):
-    """A restart loop that fails on restart 1 and takes ``_RESTART_S`` on
-    every other, recording each take as an empty file
-    <restart>.<pid>@<time> and the failure as fail.<pid>@<time> in
-    $CLAIM_RECORDS, <time> the monotonic clock.  A name is made whole or
-    not at all, so a worker terminated at any point leaves no partial
-    record."""
-    records = Path(os.environ["CLAIM_RECORDS"])
-    for restart in restarts:
-        (records / f"{restart}.{os.getpid()}@{time.monotonic()!r}").touch()
-        if restart == 1:
-            (records / f"fail.{os.getpid()}@{time.monotonic()!r}").touch()
-            raise ValueError("restart 1 failed")
-        time.sleep(_RESTART_S)
-    return None, set()
+def _failing_restart(restart, *args):
+    """A restart that fails if it is restart 1 and takes ``_RESTART_S``
+    otherwise, recording its take as an empty file <restart>.<pid>@<time>
+    and the failure as fail.<pid>@<time> in $RESTART_RECORDS, <time> the
+    monotonic clock.  A name is made whole or not at all, so a worker
+    terminated at any point leaves no partial record."""
+    records = Path(os.environ["RESTART_RECORDS"])
+    (records / f"{restart}.{os.getpid()}@{time.monotonic()!r}").touch()
+    if restart == 1:
+        (records / f"fail.{os.getpid()}@{time.monotonic()!r}").touch()
+        raise ValueError("restart 1 failed")
+    time.sleep(_RESTART_S)
+    return None, set(), 0
 
 
-def _report_blas_threads(restarts, *args):
+def _report_blas_threads(restart, *args):
     """The OpenBLAS thread counts and OS threads after a BLAS call and an
     iterative solve, which enters ``_one_blas_thread`` once more."""
     a = np.ones((256, 256))
@@ -414,7 +397,7 @@ def _report_blas_threads(restarts, *args):
                         solver="iterative")
     threads = (len(os.listdir("/proc/self/task"))
                if os.path.isdir("/proc/self/task") else 1)
-    return (_openblas_thread_counts(), threads), set()
+    return (_openblas_thread_counts(), threads), set(), 0
 
 
 #: a child that runs ``_parallel_runs`` on an input pickle refuses (a
@@ -429,14 +412,14 @@ class Unpicklable(Exception):
     def __reduce__(self):
         raise TypeError("this error cannot be pickled")
 
-def returns_input(claims, *args):
-    return args[0], set(claims)
+def returns_input(restart, *args):
+    return args[0], set(), 0
 
-def raises(claims, *args):
+def raises(restart, *args):
     raise Unpicklable()
 
 for stand_in in (returns_input, raises):
-    optimize._run_restarts = stand_in
+    optimize._run_restart = stand_in
     try:
         print("returned", optimize._parallel_runs(
             2, 4, (lambda: None, grid, 0, 3, 1e-12, "dense")))
@@ -582,15 +565,15 @@ class TestParallelRestarts:
         _optimize_on(monkeypatch, cpus, cls, grid, restarts=restarts)
         assert len(starts) == started
 
-    def test_each_restart_is_claimed_once_by_a_worker(self, monkeypatch,
-                                                      tmp_path):
+    def test_each_restart_runs_once_in_a_worker(self, monkeypatch,
+                                                tmp_path):
         grid = build_grid("interval", [1.0], [32])
         cls, _ = bang_bang_class(grid, 8)
         inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=8, seed=4)
-        monkeypatch.setenv("CLAIM_RECORDS", str(tmp_path))
-        monkeypatch.setattr(optimize, "_run_restarts", _recorded_restarts)
+        monkeypatch.setenv("RESTART_RECORDS", str(tmp_path))
+        monkeypatch.setattr(optimize, "_run_restart", _recorded_restart)
         result = _optimize_on(monkeypatch, 3, cls, grid, restarts=8, seed=4)
-        records = _claim_records(tmp_path)
+        records = _taken_restarts(tmp_path)
         assert [restart for restart, _ in records] == list(range(8))
         assert os.getpid() not in {pid for _, pid in records}
         assert result.final_m.tobytes() == inline.final_m.tobytes()
@@ -598,20 +581,21 @@ class TestParallelRestarts:
         assert result.trace == inline.trace
         assert result.solves == inline.solves
 
-    def test_a_free_worker_claims_every_restart_left(self, monkeypatch,
-                                                     tmp_path):
-        # the taker of restart 0 holds it until every index is claimed, so
-        # the other worker must have claimed all the rest
+    def test_a_free_worker_gets_every_restart_left(self, monkeypatch,
+                                                   tmp_path):
+        # the taker of restart 0 holds it until every other restart has
+        # ended, so the parent must have sent all of them to the other
+        # worker
         grid = build_grid("interval", [1.0], [32])
         cls, _ = bang_bang_class(grid, 8)
         inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=6, seed=1)
-        monkeypatch.setenv("CLAIM_RECORDS", str(tmp_path))
-        monkeypatch.setattr(optimize, "_worker", _patient_worker)
-        monkeypatch.setattr(optimize, "_run_restarts", _patient_restarts)
+        monkeypatch.setenv("RESTART_RECORDS", str(tmp_path))
+        monkeypatch.setattr(optimize, "_run_restart",
+                            functools.partial(_patient_restart, total=6))
         start = time.monotonic()
         result = _optimize_on(monkeypatch, 2, cls, grid, restarts=6, seed=1)
         assert time.monotonic() - start < 60, "restart 0 waited in vain"
-        records = _claim_records(tmp_path)
+        records = _taken_restarts(tmp_path)
         assert [restart for restart, _ in records] == list(range(6))
         holder = records[0][1]
         others = {pid for _, pid in records[1:]}
@@ -623,18 +607,19 @@ class TestParallelRestarts:
     @pytest.mark.parametrize("table_bytes", [optimize._TABLE_BYTES, 0])
     def test_a_later_worker_reads_the_pairs_published(
             self, monkeypatch, tmp_path, table_bytes):
-        # claims run one after the other: the taker of restart 0 starts it
-        # only when the other worker has ended all the rest, so it solves
-        # only what no other restart met, unless the table holds nothing
+        # restarts run one after the other: the taker of restart 0 starts
+        # it only when the other worker has ended all the rest, so it
+        # solves only what no other restart met, unless the table holds
+        # nothing
         grid = build_grid("interval", [1.0], [32])
         cls, _ = bang_bang_class(grid, 8)
         inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=6, seed=1)
-        monkeypatch.setenv("CLAIM_RECORDS", str(tmp_path))
+        monkeypatch.setenv("RESTART_RECORDS", str(tmp_path))
         monkeypatch.setattr(optimize, "_TABLE_BYTES", table_bytes)
-        monkeypatch.setattr(optimize, "_worker", _patient_worker)
-        monkeypatch.setattr(optimize, "_run_restarts", _patient_restarts)
+        monkeypatch.setattr(optimize, "_run_restart",
+                            functools.partial(_patient_restart, total=6))
         result = _optimize_on(monkeypatch, 2, cls, grid, restarts=6, seed=1)
-        assert len({pid for _, pid in _claim_records(tmp_path)}) == 2
+        assert len({pid for _, pid in _taken_restarts(tmp_path)}) == 2
         _assert_same_bytes(result, inline)
         if table_bytes:
             assert result.eigensolves == result.solves
@@ -669,36 +654,45 @@ class TestParallelRestarts:
         assert multiprocessing.active_children() == []
         assert len(tables) == 1 and tables[0].map.closed
 
-    def test_a_failing_worker_ends_the_claims(self, monkeypatch):
-        # the failing worker runs the counter out before it sends its error
-        counter = multiprocessing.get_context("fork").Value("q", 0)
-        reader, writer = multiprocessing.Pipe(duplex=False)
+    def test_a_failing_worker_sends_its_error_and_ends(self, monkeypatch):
+        # restarts 0, 1 and 2 wait in the pipe; the worker answers 0, fails
+        # on 1 and ends by itself without reading 2
+        context = multiprocessing.get_context("fork")
+        ours, theirs = context.Pipe()
 
-        def fails_on_restart_1(restarts, *args):
-            for restart in restarts:
-                if restart == 1:
-                    raise ValueError("restart 1 failed")
-            return None, set()
+        def fails_on_restart_1(restart, *args):
+            if restart == 1:
+                raise ValueError("restart 1 failed")
+            return restart, set(), 0
 
-        monkeypatch.setattr(optimize, "_run_restarts", fails_on_restart_1)
-        _worker(counter, 12, (), writer, {})
-        error = reader.recv()
-        reader.close()
-        writer.close()
-        assert counter.value == 12
-        assert isinstance(error, ValueError)
+        monkeypatch.setattr(optimize, "_run_restart", fails_on_restart_1)
+        for restart in range(3):
+            ours.send(restart)
+        worker = context.Process(target=_worker, args=(theirs, (), {}))
+        worker.start()
+        worker.join(30)
+        try:
+            assert worker.exitcode == 0
+            assert ours.recv() == (0, set(), 0)
+            assert isinstance(ours.recv(), ValueError)
+            assert not ours.poll() and theirs.recv() == 2
+        finally:
+            worker.terminate()
+            worker.join()
+            ours.close()
+            theirs.close()
 
     def test_first_error_raises_at_once(self, monkeypatch, tmp_path):
-        # one worker fails on its first claim while the other is inside
-        # its own first restart: the parent raises the error at once, not
-        # when that restart ends, and no claim follows the failure
-        monkeypatch.setenv("CLAIM_RECORDS", str(tmp_path))
-        monkeypatch.setattr(optimize, "_run_restarts", _failing_restarts)
+        # one worker fails on its first restart while the other is inside
+        # its own: the parent raises the error at once, not when that
+        # restart ends, and sends no restart after the failure
+        monkeypatch.setenv("RESTART_RECORDS", str(tmp_path))
+        monkeypatch.setattr(optimize, "_run_restart", _failing_restart)
         with pytest.raises(ValueError, match="restart 1 failed"):
             _parallel_runs(2, 12, _tiny_args())
         raised = time.monotonic()
         records = [record.name.split("@") for record in tmp_path.iterdir()]
-        # the other worker may end between its claim of restart 0 and its
+        # the other worker may end between its start of restart 0 and its
         # record of it
         assert sorted(name.split(".")[0] for name, _ in records) in (
             ["0", "1", "fail"], ["1", "fail"])
@@ -720,12 +714,11 @@ class TestParallelRestarts:
             child.communicate()
             pytest.fail("_parallel_runs hung on what it cannot pickle")
         assert child.returncode == 0, err
-        # a worker pickles its result and its error: one it cannot pickle
-        # is raised, or ends the worker and the call falls back inline
-        lines = out.splitlines()
-        assert len(lines) == 2, out
-        for line in lines:
-            assert line.startswith("raised") or line == "returned None", out
+        # a worker pickles its result and its error: a result it cannot
+        # pickle is raised as the pickling error, and an error it cannot
+        # pickle ends the worker, so the call falls back inline
+        assert out.splitlines() == ["raised PicklingError",
+                                    "returned None"], out
 
     def test_workers_inherit_one_blas_thread(self, monkeypatch):
         controls = _blas_thread_controls()
@@ -736,7 +729,7 @@ class TestParallelRestarts:
         for _, set_ in controls:
             set_(2)
         try:
-            monkeypatch.setattr(optimize, "_run_restarts",
+            monkeypatch.setattr(optimize, "_run_restart",
                                 _report_blas_threads)
             with _one_blas_thread():
                 parts = _parallel_runs(2, 3, _tiny_args())
@@ -746,7 +739,7 @@ class TestParallelRestarts:
                 set_(count)
         # one BLAS thread, and no OpenBLAS helper thread in the worker, not
         # even after the solve's own _one_blas_thread
-        assert parts == [(([1] * len(controls), 1), set())] * 2
+        assert parts == [(([1] * len(controls), 1), set(), 0)] * 3
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_inline_restarts_solve_at_one_blas_thread(self, monkeypatch,
