@@ -114,8 +114,11 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(value, key: str) -> float:
-    """float(value), or a ValidationError naming the config key."""
+    """float(value), or a ValidationError naming the config key; a JSON
+    true or false is not a number."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError) as exc:
         raise errors.ValidationError(
@@ -128,8 +131,9 @@ def _number(value, key: str) -> float:
 
 def _integer(value, key: str, minimum: int, maximum=None) -> int:
     """A whole number in [minimum, maximum], or a ValidationError; an int
-    stays exact, and a whole float such as 16.0 converts."""
-    number = value if isinstance(value, int) else _number(value, key)
+    stays exact, a whole float such as 16.0 converts, and a bool is
+    refused by ``_number``."""
+    number = value if type(value) is int else _number(value, key)
     if not (number % 1 == 0 and number >= minimum):
         raise errors.ValidationError(
             f"{key} must be a whole number of at least {minimum}, "

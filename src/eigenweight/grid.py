@@ -108,8 +108,8 @@ def build_grid(kind: str, extents, shape) -> Grid:
         raise InvalidSpec(f"unknown domain kind {kind!r}")
     dim = DOMAIN_KINDS[kind]
     try:
-        extents = tuple(float(L) for L in np.atleast_1d(extents))
-        counts = tuple(float(n) for n in np.atleast_1d(shape))
+        extents = _floats(extents, "extents")
+        counts = _floats(shape, "shape")
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"extents and shape must be numbers: {exc}") \
             from exc
@@ -142,6 +142,15 @@ def build_grid(kind: str, extents, shape) -> Grid:
                 f"extents {extents} on shape {shape} give a {name} of "
                 f"{value!r}, which must be finite and positive")
     return grid
+
+
+def _floats(values, name: str) -> tuple:
+    """Each entry of a number or a sequence of numbers as a float; a bool
+    is not a number, though ``float`` takes it."""
+    entries = np.atleast_1d(np.asarray(values, dtype=object))
+    if any(isinstance(v, (bool, np.bool_)) for v in entries):
+        raise InvalidSpec(f"{name} must be numbers, got {values!r}")
+    return tuple(float(v) for v in entries)
 
 
 @lru_cache(maxsize=32)

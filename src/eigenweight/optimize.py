@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import struct
-import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +32,6 @@ from .spectral import (EigenPair, _one_blas_thread, principal_eigenpair,
 
 #: per-line label indexed by 2 * nonincreasing + nondecreasing
 _LINE_LABELS = np.array(["none", "increasing", "decreasing", "constant"])
-
-#: bytes of the table of solved pairs that a parallel call's workers
-#: share; a slot takes 8 bytes a cell and 544 more
-_TABLE_BYTES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +56,9 @@ class OptimizationResult:
     restart; mu1 is nondecreasing along it.  ``solves`` counts the
     distinct arrangements solved in the whole call, every restart
     included.  ``eigensolves`` counts the eigensolves the call ran; it
-    exceeds ``solves`` only when the workers' table is full and two
-    workers both solve an arrangement it had no slot for.
+    exceeds ``solves`` only with forked workers, when one solves an
+    arrangement that another solved in a run not yet back in the parent
+    when the restart was sent.
     ``comonotone_violations`` counts cell pairs ordered against the final
     eigenfunction (zero at a true fixed point) and ``monotone_x1``
     summarizes the final weight's monotonicity along the first axis.
@@ -137,93 +131,22 @@ def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
     return np.random.default_rng(child).permutation(canonical)
 
 
-class _SharedPairs(dict):
-    """The memo of a forked worker: the pairs its process met, and a table
-    of the pairs that the workers of one call share.
-
-    A fill count and slots of (digest, head, u) lie in an anonymous shared
-    mapping made before the fork and never touched by the parent, so only
-    the slots the workers fill become resident.  A slot's head is its pair
-    pickled without u.  ``lock`` is the table's own.  A worker that misses
-    claims the next slot and fills it when it stores the pair; one that
-    meets a claimed arrangement waits until its slot is filled, or its
-    parent is gone.  A full table claims nothing: its workers solve what
-    they miss, each worker an arrangement at most once.
-    """
-
-    #: bytes of a slot's head; the pickle of a shift-invert pair takes
-    #: about 210, and a zero first byte marks a slot not yet filled
-    HEAD = 512
-
-    def __init__(self, most: int, n_cells: int, lock):
-        import mmap  # only a run that forks loads it
-        super().__init__()
-        self.n, self.size = n_cells, 32 + self.HEAD + 8 * n_cells
-        self.capacity = min(most, _TABLE_BYTES // self.size)
-        self.map = mmap.mmap(-1, 8 + self.capacity * self.size)
-        self.lock, self.parent = lock, os.getpid()
-        # digest -> offset of each slot read (digests are claimed once
-        # each), and this process's open claim
-        self.slots, self.claim = {}, None
-
-    def get(self, key: bytes) -> EigenPair | None:
-        """The pair for ``key``, waiting for it while another worker solves
-        it; None after claiming its slot, when the table is full, or when
-        the parent is gone."""
-        if key in self:
-            return self[key]
-        with self.lock:
-            count, = struct.unpack_from("q", self.map)
-            for at in range(8 + len(self.slots) * self.size,
-                            8 + count * self.size, self.size):
-                self.slots[self.map[at:at + 32]] = at
-            at = self.slots.get(key)
-            if at is None and count < self.capacity:
-                self.claim = 8 + count * self.size
-                self.map[self.claim:self.claim + 32] = key
-                struct.pack_into("q", self.map, 0, count + 1)
-        while at is not None:
-            with self.lock:
-                head = self.map[at + 32:at + 32 + self.HEAD]
-            if head[0]:  # a pickle starts with 0x80
-                return replace(pickle.loads(head), u=np.frombuffer(
-                    self.map, np.float64, self.n, at + 32 + self.HEAD).copy())
-            if os.getppid() != self.parent:
-                break
-            time.sleep(0.0005)  # another worker is solving it
-        return None
-
-    def __setitem__(self, key: bytes, pair: EigenPair) -> None:
-        """Keep ``pair``, and fill the slot this process claimed, if any."""
-        super().__setitem__(key, pair)
-        at, self.claim = self.claim, None
-        if at is not None:
-            head = pickle.dumps(replace(pair, u=None)).ljust(self.HEAD, b"\0")
-            with self.lock:
-                self.map[at + 32 + self.HEAD:at + self.size] = pair.u
-                self.map[at + 32:at + 32 + self.HEAD] = head
-
-
 def _run_restart(restart: int, cls: RearrangementClass, grid: Grid, seed,
                  max_iters: int, tol: float, solver: str,
                  memo: dict) -> tuple:
     """The fixed-point sweeps of one restart: its run (mu1, restart, m,
-    pair, trace, converged), the sha256 digests of the arrangements it met
-    and the count of eigensolves it ran.  ``memo`` (a dict inline, a
-    worker's ``_SharedPairs``) maps a digest to its pair and keeps every
-    pair stored in it, so a restart that reaches an arrangement solved
-    before follows the earlier path with sweeps alone."""
+    pair, trace, converged) and the pairs it solved, keyed by the sha256
+    digest of their arrangement.  ``memo`` maps a digest to its pair and
+    gains each pair solved here, so a restart that reaches an arrangement
+    solved before follows the earlier path with sweeps alone."""
     m = _start_field(cls, grid, restart, seed)
-    trace, changed, converged, seen, eigensolves = [], 0, False, set(), 0
+    trace, changed, converged, solved = [], 0, False, {}
     for it in range(max_iters + 1):
         key = hashlib.sha256(m.tobytes()).digest()
-        seen.add(key)
         pair = memo.get(key)
         if pair is None:
-            pair = principal_eigenpair(
+            pair = memo[key] = solved[key] = principal_eigenpair(
                 weight_field(grid, m), solver=solver, tol=tol)
-            eigensolves += 1
-        memo[key] = pair
         trace.append((it, pair.mu1, pair.lambda1, changed))
         if it == max_iters:
             break
@@ -234,8 +157,7 @@ def _run_restart(restart: int, cls: RearrangementClass, grid: Grid, seed,
             trace.append((it + 1, pair.mu1, pair.lambda1, 0))
             break
         m = m_next
-    return ((pair.mu1, restart, m, pair, tuple(trace), converged), seen,
-            eigensolves)
+    return (pair.mu1, restart, m, pair, tuple(trace), converged), solved
 
 
 def _usable_cpus() -> int:
@@ -245,49 +167,56 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker(conn, args: tuple, memo: dict) -> None:
-    """A forked worker: answers each restart the parent sends through the
-    duplex pipe ``conn`` with its ``_run_restart``, or with an error."""
+def _worker(conn, args: tuple) -> None:
+    """A forked worker: answers each message (restart, pairs) the parent
+    sends through the duplex pipe ``conn`` with that restart's
+    ``_run_restart``, or with an error.  Its one memo lasts the call and
+    gains the pairs each message brings."""
+    memo = {}
     try:
         while True:
-            conn.send(_run_restart(conn.recv(), *args, memo))
+            restart, pairs = conn.recv()
+            memo.update(pairs)
+            conn.send(_run_restart(restart, *args, memo))
     except Exception as exc:
         conn.send(exc)
 
 
 def _parallel_runs(workers: int, restarts: int, args: tuple):
     """The ``_run_restart`` of every restart from ``workers`` forked
-    processes that share one table of solved pairs, or None when they
-    cannot run (no fork, no mapping for the table, or a worker died).
+    processes, or None when they cannot run (no fork, or a worker died).
     Each worker gets a first restart, then the next one left whenever it
     sends back a run; the first error is raised at once, and no restart is
-    sent after it."""
+    sent after it.  A restart goes out with the pairs that the other
+    workers have sent back since that worker's last message, so each pair
+    crosses each pipe at most once."""
     import multiprocessing.connection  # only a run that forks loads it
     try:  # forked, not spawned: a spawned worker's imports outlast a restart
         context = multiprocessing.get_context("fork")
     except ValueError:
         return None
-    _, grid, _, max_iters, _, _ = args
-    processes, conns, runs = [], [], []
+    # each worker's pipe -> the pairs solved elsewhere that it lacks
+    processes, unsent, runs = [], {}, []
     try:
-        table = _SharedPairs(restarts * (max_iters + 1), grid.n_cells,
-                             context.Lock())
-        with table.map:
-            for restart in range(workers):  # a first restart each
-                conn, theirs = context.Pipe()
-                processes.append(context.Process(
-                    target=_worker, args=(theirs, args, table)))
-                processes[-1].start()
-                theirs.close()  # before the next fork, for its worker alone
-                conn.send(restart)
-                conns.append(conn)
-            for restart in range(workers, restarts + workers):
-                conn = multiprocessing.connection.wait(conns)[0]
-                runs.append(conn.recv())
-                if isinstance(runs[-1], Exception):
-                    raise runs[-1]
-                if restart < restarts:  # to the worker that is now free
-                    conn.send(restart)
+        for restart in range(workers):  # a first restart each
+            conn, theirs = context.Pipe()
+            processes.append(context.Process(target=_worker,
+                                             args=(theirs, args)))
+            processes[-1].start()
+            theirs.close()  # before the next fork, for its worker alone
+            conn.send((restart, {}))
+            unsent[conn] = {}
+        for restart in range(workers, restarts + workers):
+            conn = multiprocessing.connection.wait(list(unsent))[0]
+            runs.append(conn.recv())
+            if isinstance(runs[-1], Exception):
+                raise runs[-1]
+            for other, pairs in unsent.items():
+                if other is not conn:
+                    pairs.update(runs[-1][1])
+            if restart < restarts:  # to the worker that is now free
+                conn.send((restart, unsent[conn]))
+                unsent[conn] = {}
     except (OSError, EOFError):
         return None
     finally:
@@ -313,12 +242,14 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     Restarts are independent until they are compared, so this process
     hands them out one at a time to W = min(restarts, usable CPUs) forked
     workers, or runs them inline when W is one or the workers cannot run
-    (no fork, no shared mapping, or a worker died); either way several
-    restarts solve at one BLAS thread.  Every run comes back here, where
-    the best is chosen once; solves are deterministic, so no outcome
-    depends on which worker ran a restart.  The workers share one table
-    of solved pairs, so each distinct arrangement is solved once unless
-    the table is full.
+    (no fork, or a worker died); either way several restarts solve at one
+    BLAS thread.  Every run comes back here, where the best is chosen
+    once; solves are deterministic, so no outcome depends on which worker
+    ran a restart.  Inline, one memo solves each distinct arrangement
+    once.  A worker keeps its own memo for the call, and each restart
+    sent to it brings the pairs the other workers have sent back since;
+    an arrangement that two workers meet in restarts running at the same
+    time may be solved by both.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(
@@ -338,12 +269,13 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
                 or [_run_restart(restart, *args, memo)
                     for restart in range(restarts)])
     _, _, m, pair, trace, converged = max(
-        (run for run, _, _ in runs), key=lambda run: (run[0], -run[1]))
+        (run for run, _ in runs), key=lambda run: (run[0], -run[1]))
+    # every arrangement a restart met was solved in some restart
     return OptimizationResult(
         final_m=m, final_pair=pair, trace=trace, converged=converged,
         restarts_used=restarts,
-        solves=len(set().union(*(seen for _, seen, _ in runs))),
-        eigensolves=sum(count for _, _, count in runs),
+        solves=len(set().union(*(solved for _, solved in runs))),
+        eigensolves=sum(len(solved) for _, solved in runs),
         comonotone_violations=count_comonotone_violations(m, pair.u, grid),
         monotone_x1=check_monotone_x1(m, grid))
 

@@ -507,10 +507,18 @@ def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
     (theta, y).  It is the answer when |S y - theta y| <= tol theta.  If
     instead it ended in ARPACK's first cycle, ARPACK refines it from y at
     ``tol`` within ``_PROBE_RESTARTS`` restarts.  Otherwise, or when the
-    refinement does not converge, ``_shift_invert`` starts from theta.
+    refinement does not converge, ``_shift_invert`` starts from theta.  A
+    loose run that ends on a nonpositive theta hands ``_shift_invert`` the
+    Rayleigh quotient of the indicator f of the positive cells instead,
+    also at most mu1: the constant that moves f into V_m keeps its energy
+    and, as int m < 0, cannot lower f^T Q f.
     """
     S, to_vm = _dct_operator(m)
-    theta, y = _arpack_top(S, _SHIFT_TOL)
+    try:
+        theta, y = _arpack_top(S, _SHIFT_TOL)
+    except SingularSystem:
+        return _shift_invert(m, tol, rayleigh_quotient(m, m.values > 0),
+                             S.applies)
     # one ARPACK cycle for one eigenpair: eigsh's default Lanczos basis of
     # min(n, 20) vectors, and one more apply
     first_cycle = S.applies <= min(S.shape[0], 20) + 1

@@ -77,6 +77,26 @@ class TestParseConfig:
             weight={"kind": "bang_bang", "positive_value": 2.0,
                     "negative_value": -1.0, "positive_fraction": 0.3}))
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("optimize", "restarts", True),
+        ("optimize", "tol", False),
+        ("domain", "extents", [True]),
+        ("domain", "shape", [True, 2]),
+        ("rearrange", "stripes", [True, 2]),
+        ("weight", "values", [True] + [-2.0] * 63),
+        ("weight", "positive_value", True),
+    ])
+    def test_a_bool_is_not_a_number(self, section, key, value):
+        # float(True) is 1.0 and True is an int: the key names the refusal
+        doc = json.loads(config_text())
+        if key == "values":
+            doc["weight"] = {"kind": "explicit"}
+        elif key == "extents":
+            doc["domain"]["shape"] = [64]
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(errors.InputError, match=key):
+            parse_config(json.dumps(doc))
+
     @pytest.mark.parametrize("seed", [2 ** 53 + 1, 2 ** 64 + 1])
     def test_integer_above_2_53_stays_exact(self, seed):
         config = parse_config(config_text(optimize=dict(
@@ -535,7 +555,7 @@ class TestMainExitCodes:
         ("x", 3, "must be a number, got 'x'"),
         (10 ** 400, 3,
          "must be a number in float range, got a 1329-bit integer"),
-        (True, 0, None),
+        (True, 3, "must be a number, got True"),
     ])
     def test_list_entry_messages(self, tmp_path, capsys, command, key,
                                  entry, code, message):
@@ -549,15 +569,8 @@ class TestMainExitCodes:
         cfg.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == code
-        err = capsys.readouterr().err
-        if message is None:  # a JSON true is read as 1.0
-            assert err == ""
-            config = parse_config(json.dumps(doc))
-            parsed = config.values if key == "weight.values" \
-                else config.simulate["v0"]
-            assert parsed[1] == 1.0
-        else:
-            assert err == f"validation error: {key} {message}\n"
+        assert capsys.readouterr().err \
+            == f"validation error: {key} {message}\n"
 
     def test_integer_past_digit_limit_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "digits.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import multiprocessing.connection
 import multiprocessing.context
 import os
 import pickle
@@ -33,8 +34,7 @@ from eigenweight import (
 from eigenweight import optimize
 from eigenweight.optimize import (_parallel_runs, _run_restart,
                                   _start_field, _worker)
-from eigenweight.spectral import (EigenPair, SolveStats,
-                                  _blas_thread_controls, _one_blas_thread)
+from eigenweight.spectral import _blas_thread_controls, _one_blas_thread
 from oracles import (
     oscillating_layout,
     restart_loop,
@@ -306,31 +306,6 @@ def _tiny_args():
     return (bang_bang_class(grid, 8)[0], grid, 0, 200, 1e-12, "dense")
 
 
-def _record_tables(monkeypatch) -> list:
-    """The shared tables that later calls make, in order."""
-    tables = []
-
-    class Recorded(optimize._SharedPairs):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self)
-
-    monkeypatch.setattr(optimize, "_SharedPairs", Recorded)
-    return tables
-
-
-def _through_a_slot(pair: EigenPair) -> EigenPair:
-    """``pair`` stored in a fresh table's first slot and read back from
-    it, not from the pairs this process met."""
-    table = optimize._SharedPairs(
-        2, pair.u.size, multiprocessing.get_context("fork").Lock())
-    with table.map:
-        assert table.get(b"k" * 32) is None  # claims the first slot
-        table[b"k" * 32] = pair
-        table.clear()
-        return table.get(b"k" * 32)
-
-
 def _openblas_thread_counts() -> list:
     return [get() for get, _ in _blas_thread_controls()]
 
@@ -366,6 +341,15 @@ def _taken_restarts(path: Path) -> list:
                   for record in path.glob("[0-9]*"))
 
 
+def _memo_restart(restart, *args):
+    """``_run_restart`` after 20 ms, its run sent back with the worker's
+    pid and the digests its memo held at the start."""
+    time.sleep(0.02)
+    held = frozenset(args[-1])
+    run, solved = _run_restart(restart, *args)
+    return (os.getpid(), held, run), solved
+
+
 #: seconds that every restart of ``_failing_restart`` but the failing one
 #: takes
 _RESTART_S = 1.0
@@ -383,7 +367,7 @@ def _failing_restart(restart, *args):
         (records / f"fail.{os.getpid()}@{time.monotonic()!r}").touch()
         raise ValueError("restart 1 failed")
     time.sleep(_RESTART_S)
-    return None, set(), 0
+    return None, {}
 
 
 def _report_blas_threads(restart, *args):
@@ -397,7 +381,7 @@ def _report_blas_threads(restart, *args):
                         solver="iterative")
     threads = (len(os.listdir("/proc/self/task"))
                if os.path.isdir("/proc/self/task") else 1)
-    return (_openblas_thread_counts(), threads), set(), 0
+    return (_openblas_thread_counts(), threads), {}
 
 
 #: a child that runs ``_parallel_runs`` on an input pickle refuses (a
@@ -413,7 +397,7 @@ class Unpicklable(Exception):
         raise TypeError("this error cannot be pickled")
 
 def returns_input(restart, *args):
-    return args[0], set(), 0
+    return args[0], {}
 
 def raises(restart, *args):
     raise Unpicklable()
@@ -469,8 +453,8 @@ class TestParallelRestarts:
     @settings(max_examples=15, deadline=None)
     def test_shared_table_keeps_every_byte(self, shape, fraction, seed,
                                            solver, max_iters, cpus):
-        # three workers on two CPUs as well: a lost claim of a slot would
-        # leave an arrangement to be solved twice
+        # three workers on two CPUs as well: which worker runs a restart,
+        # and which pairs it has been sent, changes no byte
         grid = build_grid(("interval", "rectangle")[len(shape) - 1],
                           [2.0, 1.0][:len(shape)], list(shape))
         cls, _ = bang_bang_class(grid, max(1, int(fraction * grid.n_cells)))
@@ -480,21 +464,36 @@ class TestParallelRestarts:
             inline = _optimize_on(patch, 1, cls, grid, **kwargs)
             pooled = _optimize_on(patch, cpus, cls, grid, **kwargs)
         _assert_same_bytes(pooled, inline)
-        assert pooled.eigensolves == pooled.solves
+        assert pooled.eigensolves >= pooled.solves
 
     @pytest.mark.parametrize("solver,permutation_seed,path", [
         ("dense", None, "dense"), ("iterative", None, "arpack"),
         ("iterative", 0, "shift-invert")])
-    def test_a_published_pair_reads_back_whole(self, solver,
+    def test_a_published_pair_reads_back_whole(self, monkeypatch, solver,
                                                permutation_seed, path):
+        # the pair goes to a worker in a message and comes back from the
+        # worker's memo, pickled both ways
         grid = build_grid("rectangle", [2.0, 1.0], [32, 16])
         m = np.where(np.arange(grid.n_cells) < 128, 1.0, -2.0)
         if permutation_seed is not None:
             m = np.random.default_rng(permutation_seed).permutation(m)
         pair = principal_eigenpair(weight_field(grid, m), solver=solver)
-        read = _through_a_slot(pair)
-        # every field, so a field the table does not carry fails here
-        assert pair.stats.path == path
+        monkeypatch.setattr(optimize, "_run_restart",
+                            lambda restart, memo: (memo[b"k" * 32], {}))
+        context = multiprocessing.get_context("fork")
+        ours, theirs = context.Pipe()
+        worker = context.Process(target=_worker, args=(theirs, ()))
+        worker.start()
+        theirs.close()  # so a worker that dies ends the recv below
+        try:
+            ours.send((0, {b"k" * 32: pair}))
+            read, solved = ours.recv()
+        finally:
+            worker.terminate()
+            worker.join()
+            ours.close()
+        # every field, so a field that does not cross whole fails here
+        assert solved == {} and pair.stats.path == path
         assert repr(read.stats) == repr(pair.stats)
         for field in dataclasses.fields(pair):
             if field.name not in ("u", "stats"):
@@ -503,49 +502,6 @@ class TestParallelRestarts:
                 assert type(value) is type(getattr(pair, field.name))
         assert read.u.tobytes() == pair.u.tobytes()
         assert read.u.shape == pair.u.shape and read.u.flags.writeable
-
-    def test_the_largest_head_fits_its_region_with_room(self):
-        # the longest path, a float sigma and counts past 64 bits
-        stats = SolveStats("shift-invert", 2**64, -np.pi * 1e300, 2**64)
-        pair = EigenPair(np.pi, 1 / np.pi, np.linspace(0, 1, 8), 1e-300,
-                         stats)
-        head = pickle.dumps(dataclasses.replace(pair, u=None))
-        assert 2 * len(head) <= optimize._SharedPairs.HEAD
-        assert repr(_through_a_slot(pair)) == repr(pair)
-
-    @pytest.mark.parametrize("capacity", [0, 1])
-    def test_a_full_table_changes_no_byte(self, monkeypatch, capacity):
-        grid = build_grid("rectangle", [2.0, 1.0], [12, 6])
-        cls, _ = bang_bang_class(grid, 18)
-        kwargs = dict(restarts=6, seed=3, solver="iterative")
-        inline = _optimize_on(monkeypatch, 1, cls, grid, **kwargs)
-        tables = _record_tables(monkeypatch)
-        monkeypatch.setattr(optimize, "_TABLE_BYTES", capacity * (
-            32 + optimize._SharedPairs.HEAD + 8 * grid.n_cells))
-        pooled = _optimize_on(monkeypatch, 2, cls, grid, **kwargs)
-        assert [table.capacity for table in tables] == [capacity]
-        _assert_same_bytes(pooled, inline)
-        assert pooled.eigensolves >= pooled.solves
-
-    def test_falls_back_inline_without_a_mapping(self, monkeypatch):
-        grid = build_grid("rectangle", [2.0, 1.0], [12, 6])
-        cls, _ = bang_bang_class(grid, 18)
-        kwargs = dict(restarts=6, seed=3, solver="iterative")
-        inline = _optimize_on(monkeypatch, 1, cls, grid, **kwargs)
-
-        def unmappable(*args):
-            raise OSError(12, "Cannot allocate memory")
-
-        monkeypatch.setattr(optimize, "_SharedPairs", unmappable)
-        starts = []
-        fork_start = multiprocessing.context.ForkProcess.start
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
-                            lambda process: (starts.append(None),
-                                             fork_start(process)))
-        pooled = _optimize_on(monkeypatch, 2, cls, grid, **kwargs)
-        assert starts == []
-        _assert_same_bytes(pooled, inline)
-        assert pooled.eigensolves == pooled.solves
 
     @pytest.mark.parametrize("cpus,restarts,started", [
         (1, 8, 0), (3, 8, 3), (3, 2, 2), (8, 1, 0)])
@@ -604,27 +560,47 @@ class TestParallelRestarts:
         assert result.final_m.tobytes() == inline.final_m.tobytes()
         assert result.trace == inline.trace
 
-    @pytest.mark.parametrize("table_bytes", [optimize._TABLE_BYTES, 0])
-    def test_a_later_worker_reads_the_pairs_published(
-            self, monkeypatch, tmp_path, table_bytes):
-        # restarts run one after the other: the taker of restart 0 starts
-        # it only when the other worker has ended all the rest, so it
-        # solves only what no other restart met, unless the table holds
-        # nothing
-        grid = build_grid("interval", [1.0], [32])
-        cls, _ = bang_bang_class(grid, 8)
-        inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=6, seed=1)
-        monkeypatch.setenv("RESTART_RECORDS", str(tmp_path))
-        monkeypatch.setattr(optimize, "_TABLE_BYTES", table_bytes)
-        monkeypatch.setattr(optimize, "_run_restart",
-                            functools.partial(_patient_restart, total=6))
-        result = _optimize_on(monkeypatch, 2, cls, grid, restarts=6, seed=1)
-        assert len({pid for _, pid in _taken_restarts(tmp_path)}) == 2
-        _assert_same_bytes(result, inline)
-        if table_bytes:
-            assert result.eigensolves == result.solves
-        else:
-            assert result.eigensolves > result.solves
+    def test_a_restart_sent_after_a_run_solves_nothing_it_met(
+            self, monkeypatch):
+        # at two workers the parent sends restart s >= 2 when run s - 1
+        # comes back, so the worker's memo then holds every arrangement
+        # that the runs back by then met, a restart's random start included
+        args = _tiny_args()
+        monkeypatch.setattr(optimize, "_run_restart", _memo_restart)
+        runs = _parallel_runs(2, 8, args)
+        met = [set(_run_restart(restart, *args, {})[1])
+               for restart in range(8)]
+        crossed = 0
+        for (pid, held, (_, restart, *_)), solved in runs:
+            for (other, _, (_, earlier, *_)), _ in runs[:max(restart - 1, 0)]:
+                assert met[earlier] <= held
+                assert met[earlier].isdisjoint(solved)
+                crossed += other != pid
+        # some run of one worker came back before a restart of the other
+        # was sent
+        assert crossed
+
+    def test_batches_past_a_pipe_buffer_end(self, monkeypatch):
+        # a 64x32 pair pickles to over 16 KiB, so a batch of four or more
+        # outgrows a 64 KiB pipe buffer: neither side may wait on a send
+        # while the other does
+        grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
+        cls, _ = bang_bang_class(grid, 512)
+        kwargs = dict(restarts=8, seed=0, solver="iterative")
+        inline = _optimize_on(monkeypatch, 1, cls, grid, **kwargs)
+        parent, sent = os.getpid(), []
+        send = multiprocessing.connection.Connection.send
+
+        def measured(conn, message):
+            if os.getpid() == parent:
+                sent.append(len(pickle.dumps(message)))
+            send(conn, message)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                            measured)
+        pooled = _optimize_on(monkeypatch, 2, cls, grid, **kwargs)
+        assert max(sent) > 1 << 16
+        _assert_same_bytes(pooled, inline)
 
     @pytest.mark.parametrize("ending", ["returns", "raises", "falls back"])
     def test_no_worker_or_mapping_outlives_a_call(self, monkeypatch,
@@ -632,7 +608,6 @@ class TestParallelRestarts:
         grid = build_grid("interval", [1.0], [32])
         cls, _ = bang_bang_class(grid, 8)
         inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=4, seed=2)
-        tables = _record_tables(monkeypatch)
         parent = os.getpid()
 
         def ends_in_worker(*args, **kwargs):
@@ -652,30 +627,30 @@ class TestParallelRestarts:
                                   seed=2)
             _assert_same_bytes(result, inline)
         assert multiprocessing.active_children() == []
-        assert len(tables) == 1 and tables[0].map.closed
 
     def test_a_failing_worker_sends_its_error_and_ends(self, monkeypatch):
-        # restarts 0, 1 and 2 wait in the pipe; the worker answers 0, fails
-        # on 1 and ends by itself without reading 2
+        # restarts 0, 1 and 2 wait in the pipe; the worker answers 0 with
+        # the pair its message brought, fails on 1 and ends by itself
+        # without reading 2
         context = multiprocessing.get_context("fork")
         ours, theirs = context.Pipe()
 
-        def fails_on_restart_1(restart, *args):
+        def fails_on_restart_1(restart, memo):
             if restart == 1:
                 raise ValueError("restart 1 failed")
-            return restart, set(), 0
+            return restart, dict(memo)
 
         monkeypatch.setattr(optimize, "_run_restart", fails_on_restart_1)
         for restart in range(3):
-            ours.send(restart)
-        worker = context.Process(target=_worker, args=(theirs, (), {}))
+            ours.send((restart, {b"k" * 32: restart}))
+        worker = context.Process(target=_worker, args=(theirs, ()))
         worker.start()
         worker.join(30)
         try:
             assert worker.exitcode == 0
-            assert ours.recv() == (0, set(), 0)
+            assert ours.recv() == (0, {b"k" * 32: 0})
             assert isinstance(ours.recv(), ValueError)
-            assert not ours.poll() and theirs.recv() == 2
+            assert not ours.poll() and theirs.recv() == (2, {b"k" * 32: 2})
         finally:
             worker.terminate()
             worker.join()
@@ -739,7 +714,7 @@ class TestParallelRestarts:
                 set_(count)
         # one BLAS thread, and no OpenBLAS helper thread in the worker, not
         # even after the solve's own _one_blas_thread
-        assert parts == [(([1] * len(controls), 1), set(), 0)] * 3
+        assert parts == [(([1] * len(controls), 1), {})] * 3
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_inline_restarts_solve_at_one_blas_thread(self, monkeypatch,

@@ -657,6 +657,34 @@ class TestShiftInvert:
             first.stats.sigma * 0.75 / share, rel=1e-14)
         assert_matches_dense(halved, m)
 
+    @pytest.mark.parametrize("value", [0.01, 0.001])
+    def test_nonpositive_loose_ritz_value_shifts_from_the_indicator(
+            self, value):
+        # one small positive cell among 64 at -1: the loose run on S ends
+        # on a nonpositive theta at most positions
+        grid = build_grid("interval", [1.0], [64])
+        for cell in range(64):
+            values = -np.ones(64)
+            values[cell] = value
+            m = weights(grid, values)
+            pair = principal_eigenpair(m, solver="iterative")
+            assert_matches_dense(pair, m)
+            assert pair.stats.path == "shift-invert"
+
+    @pytest.mark.parametrize("length", [100.0, 200.0])
+    def test_thin_cylinder_matches_its_cross_section(self, length):
+        # a quarter of the cells at +1 in flat order is a band across the
+        # thin axis, so lambda1 is the 1D one across it; the loose run on
+        # S ends on a nonpositive theta, and dense fails at length 200
+        grid = build_grid("rectangle", [length, 0.01], [64, 32])
+        m = weights(grid, np.where(np.arange(2048) < 512, 1.0, -2.0))
+        pair = principal_eigenpair(m, solver="iterative")
+        section = build_grid("interval", [0.01], [32])
+        oracle = principal_eigenpair(
+            weights(section, np.where(np.arange(32) < 8, 1.0, -2.0)))
+        assert abs(pair.lambda1 - oracle.lambda1) <= 1e-10 * oracle.lambda1
+        assert pair.residual <= 1e-10
+
     def test_fallback_no_convergence_is_iteration_limit(self, monkeypatch):
         m = rough_bang_bang(build_grid("rectangle", [2.0, 1.0], [16, 8]), 0)
         eigsh = spla.eigsh
