@@ -350,6 +350,27 @@ def _memo_restart(restart, *args):
     return (os.getpid(), held, run), solved
 
 
+class _CutPairs:
+    """A worker's end of its pipe whose messages keep, of their pairs, the
+    first ones that pickle into ``budget`` bytes in all."""
+
+    def __init__(self, conn, budget: int):
+        self.conn, self.budget = conn, budget
+
+    def recv(self):
+        restart, pairs = self.conn.recv()
+        kept, used = {}, 0
+        for key, pair in pairs.items():
+            used += len(pickle.dumps(pair))
+            if used > self.budget:
+                break
+            kept[key] = pair
+        return restart, kept
+
+    def send(self, message):
+        self.conn.send(message)
+
+
 #: seconds that every restart of ``_failing_restart`` but the failing one
 #: takes
 _RESTART_S = 1.0
@@ -560,25 +581,38 @@ class TestParallelRestarts:
         assert result.final_m.tobytes() == inline.final_m.tobytes()
         assert result.trace == inline.trace
 
-    def test_a_restart_sent_after_a_run_solves_nothing_it_met(
-            self, monkeypatch):
+    @pytest.mark.parametrize("budget", [1 << 24, 0])
+    def test_a_later_worker_reads_the_pairs_published(self, monkeypatch,
+                                                      budget):
         # at two workers the parent sends restart s >= 2 when run s - 1
         # comes back, so the worker's memo then holds every arrangement
-        # that the runs back by then met, a restart's random start included
+        # that the runs back by then met, a restart's random start
+        # included; with messages cut to no pairs it holds only what its
+        # own runs met, so the messages are the one way pairs travel
         args = _tiny_args()
+        worker = optimize._worker
+        monkeypatch.setattr(optimize, "_worker", lambda conn, args: worker(
+            _CutPairs(conn, budget), args))
         monkeypatch.setattr(optimize, "_run_restart", _memo_restart)
         runs = _parallel_runs(2, 8, args)
         met = [set(_run_restart(restart, *args, {})[1])
                for restart in range(8)]
-        crossed = 0
+        crossed = missed = 0
         for (pid, held, (_, restart, *_)), solved in runs:
+            own = set().union(*(met[earlier] for (other, _, (_, earlier, *_)),
+                                _ in runs if other == pid and earlier < restart))
             for (other, _, (_, earlier, *_)), _ in runs[:max(restart - 1, 0)]:
-                assert met[earlier] <= held
-                assert met[earlier].isdisjoint(solved)
+                if budget:
+                    assert met[earlier] <= held
+                    assert met[earlier].isdisjoint(solved)
                 crossed += other != pid
+                missed += not met[earlier] <= held
+            if not budget:
+                assert held == own
         # some run of one worker came back before a restart of the other
-        # was sent
+        # was sent, and without the pairs its memo lacked what that run met
         assert crossed
+        assert bool(missed) == (not budget)
 
     def test_batches_past_a_pipe_buffer_end(self, monkeypatch):
         # a 64x32 pair pickles to over 16 KiB, so a batch of four or more
