@@ -16,9 +16,10 @@ supports random restarts from seeded permutations.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,10 +56,12 @@ class OptimizationResult:
     ``trace`` lists (iteration, mu1, lambda1, changed_cells) for the best
     restart; mu1 is nondecreasing along it.  ``solves`` counts the
     distinct arrangements solved in the whole call, every restart
-    included.  ``eigensolves`` counts the eigensolves the call ran; it
-    exceeds ``solves`` only with forked workers, when one solves an
-    arrangement that another solved in a run not yet back in the parent
-    when the restart was sent.
+    included, up to the grid's axis reflections: an arrangement and its
+    mirror images share one solve, which is exact because each
+    reflection maps the stiffness to itself.  ``eigensolves`` counts the
+    eigensolves the call ran; it exceeds ``solves`` only with forked
+    workers, when one solves an arrangement that another solved in a run
+    not yet back in the parent when the restart was sent.
     ``comonotone_violations`` counts cell pairs ordered against the final
     eigenfunction (zero at a true fixed point) and ``monotone_x1``
     summarizes the final weight's monotonicity along the first axis.
@@ -131,22 +134,47 @@ def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
     return np.random.default_rng(child).permutation(canonical)
 
 
+def _orbit_pair(m, grid: Grid, solver: str, tol: float, memo: dict,
+                solved: dict) -> EigenPair:
+    """The pair of arrangement m, solved once per orbit of m under the
+    grid's axis reflections.
+
+    A reflection g permutes the cells so that the stiffness maps to
+    itself (P^T K P = K), so the pair of g m is the pair of m with u
+    reflected by g.  The reflection of m with the least bytes is the
+    orbit's representative r; ``memo`` maps the sha256 digest of r to
+    the pair solved on r, and ``solved`` gains each pair solved here.
+    The pair returned is r's with u reflected back, a pure function of m
+    whichever memo held r."""
+    field = m.reshape(grid.shape[::-1])
+    # a reflection flips a set of axes; ties go to the fewest, then the
+    # lexicographically first
+    axes = min((axes for k in range(grid.dim + 1)
+                for axes in itertools.combinations(range(grid.dim), k)),
+               key=lambda axes: np.flip(field, axes).tobytes())
+    r = np.flip(field, axes).ravel()
+    key = hashlib.sha256(r.tobytes()).digest()
+    pair = memo.get(key)
+    if pair is None:
+        pair = memo[key] = solved[key] = principal_eigenpair(
+            weight_field(grid, r), solver=solver, tol=tol)
+    return replace(pair, u=np.flip(pair.u.reshape(field.shape),
+                                   axes).ravel())
+
+
 def _run_restart(restart: int, cls: RearrangementClass, grid: Grid, seed,
                  max_iters: int, tol: float, solver: str,
                  memo: dict) -> tuple:
     """The fixed-point sweeps of one restart: its run (mu1, restart, m,
     pair, trace, converged) and the pairs it solved, keyed by the sha256
-    digest of their arrangement.  ``memo`` maps a digest to its pair and
-    gains each pair solved here, so a restart that reaches an arrangement
-    solved before follows the earlier path with sweeps alone."""
+    digest of their orbit's representative (``_orbit_pair``).  ``memo``
+    maps such a digest to its pair and gains each pair solved here, so a
+    restart that reaches an arrangement solved before, or a reflection of
+    one, follows the earlier path with sweeps alone."""
     m = _start_field(cls, grid, restart, seed)
     trace, changed, converged, solved = [], 0, False, {}
     for it in range(max_iters + 1):
-        key = hashlib.sha256(m.tobytes()).digest()
-        pair = memo.get(key)
-        if pair is None:
-            pair = memo[key] = solved[key] = principal_eigenpair(
-                weight_field(grid, m), solver=solver, tol=tol)
+        pair = _orbit_pair(m, grid, solver, tol, memo, solved)
         trace.append((it, pair.mu1, pair.lambda1, changed))
         if it == max_iters:
             break
@@ -245,11 +273,13 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     (no fork, or a worker died); either way several restarts solve at one
     BLAS thread.  Every run comes back here, where the best is chosen
     once; solves are deterministic, so no outcome depends on which worker
-    ran a restart.  Inline, one memo solves each distinct arrangement
-    once.  A worker keeps its own memo for the call, and each restart
-    sent to it brings the pairs the other workers have sent back since;
-    an arrangement that two workers meet in restarts running at the same
-    time may be solved by both.
+    ran a restart.  The memo solves each arrangement once per orbit
+    under the grid's axis reflections (``_orbit_pair``), so restarts that
+    end on mirror images of one minimizer solve it once and report one
+    lambda1.  Inline, one memo serves every restart.  A worker keeps its
+    own memo for the call, and each restart sent to it brings the pairs
+    the other workers have sent back since; an orbit that two workers
+    meet in restarts running at the same time may be solved by both.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(

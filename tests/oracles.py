@@ -4,18 +4,20 @@ These deliberately avoid the library's discretization: the arrangement
 oracle enumerates permutations, the stripe oracle searches every stripe
 for every cell, the restart oracle draws every start field up front
 from ``SeedSequence.spawn`` and runs every restart to its end in one
-process, solving every iterate afresh, the pencil oracle restricts
-the dense pencil through an explicit n x (n - 1) basis by two GEMMs, the
-dense-solve oracle hands ``eigh`` C-ordered copies of the pencil, and
-the CSV oracles format every value on its own with ``repr(float(v))``.  The
-eigenvalue oracle ``two_phase_lambda1`` (the closed form of the 1D
-two-phase problem) and ``random_admissible`` (the admissible-weight
-generator) live in ``eigenweight.verify``, whose acceptance checks use
-them, and are re-exported here.
+process, solving every iterate afresh through its least-bytes axis
+reflection, the pencil oracle restricts the dense pencil through an
+explicit n x (n - 1) basis by two GEMMs, the dense-solve oracle hands
+``eigh`` C-ordered copies of the pencil, and the CSV oracles format
+every value on its own with ``repr(float(v))``.  The eigenvalue oracle
+``two_phase_lambda1`` (the closed form of the 1D two-phase problem) and
+``random_admissible`` (the admissible-weight generator) live in
+``eigenweight.verify``, whose acceptance checks use them, and are
+re-exported here.
 """
 
+import dataclasses
 import hashlib
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import scipy.linalg
@@ -117,19 +119,32 @@ def spawned_start_fields(cls, grid, restarts, seed) -> list:
 
 def restart_loop(cls, grid, max_iters, tol, restarts, seed, solver):
     """Every restart's fixed-point sweeps run to the end, every iterate
-    solved afresh.
+    solved afresh through the least-bytes axis reflection of it.
 
-    Returns (mu1, final_m, final pair, trace, converged) of the best
-    restart, ties toward the earlier one, and the number of distinct
-    arrangements solved over all restarts.
+    Each iterate m is reflected along every set of axes of its
+    ``shape[::-1]`` layout; the reflection r with the least bytes, ties
+    toward fewer axes and then the lexicographically first set, is
+    solved, and u is reflected back.  Returns (mu1, final_m, final pair,
+    trace, converged) of the best restart, ties toward the earlier one,
+    the number of distinct r solved over all restarts and the number of
+    distinct arrangements m met.
     """
     best = None
-    distinct = set()
+    distinct, met = set(), set()
+    flips = [tuple(a for a, f in enumerate(flags) if f)
+             for flags in product((False, True), repeat=grid.dim)]
 
     def solve(m):
-        distinct.add(hashlib.sha256(m.tobytes()).digest())
-        return principal_eigenpair(weight_field(grid, m), solver=solver,
+        met.add(m.tobytes())
+        field = m.reshape(grid.shape[::-1])
+        axes = min(flips, key=lambda axes: (np.flip(field, axes).tobytes(),
+                                            len(axes), axes))
+        r = np.ascontiguousarray(np.flip(field, axes)).reshape(-1)
+        distinct.add(hashlib.sha256(r.tobytes()).digest())
+        pair = principal_eigenpair(weight_field(grid, r), solver=solver,
                                    tol=tol)
+        u = np.ascontiguousarray(np.flip(pair.u.reshape(field.shape), axes))
+        return dataclasses.replace(pair, u=u.reshape(-1))
 
     for m0 in spawned_start_fields(cls, grid, restarts, seed):
         m = m0
@@ -149,7 +164,7 @@ def restart_loop(cls, grid, max_iters, tol, restarts, seed, solver):
         candidate = (pair.mu1, m, pair, tuple(trace), converged)
         if best is None or candidate[0] > best[0]:
             best = candidate
-    return best + (len(distinct),)
+    return best + (len(distinct), len(met))
 
 
 def per_value_field_csv(path, values, grid) -> None:

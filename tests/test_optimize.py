@@ -238,16 +238,23 @@ class TestMinimize:
         np.testing.assert_array_equal(a.final_m, b.final_m)
         assert a.trace == b.trace
 
-    @pytest.mark.parametrize("shape,solver,max_iters,solves", [
-        ([12, 6], "dense", 200, 35),
-        ([12, 6], "dense", 3, 27),  # nothing converges
-        ([16, 8], "iterative", 200, 35),
-        ([16, 8], "dense", 6, 34),
-        ([32], "dense", 2, 14),
-        ([32], "iterative", 3, 14),
+    # met: the distinct arrangements the sweeps meet; solves: their orbits
+    # under the axis reflections, each solved once
+    @pytest.mark.parametrize("shape,solver,max_iters,met,solves", [
+        pytest.param([12, 6], "dense", 200, 35, 28,
+                     id="shape0-dense-200-35"),
+        pytest.param([12, 6], "dense", 3, 27, 26,  # nothing converges
+                     id="shape1-dense-3-27"),
+        pytest.param([16, 8], "iterative", 200, 35, 25,
+                     id="shape2-iterative-200-35"),
+        pytest.param([16, 8], "dense", 6, 34, 25, id="shape3-dense-6-34"),
+        pytest.param([32], "dense", 2, 14, 13, id="shape4-dense-2-14"),
+        pytest.param([32], "iterative", 3, 14, 13,
+                     id="shape5-iterative-3-14"),
     ])
     def test_memoised_restarts_match_full_runs(self, monkeypatch, shape,
-                                               solver, max_iters, solves):
+                                               solver, max_iters, met,
+                                               solves):
         grid = build_grid(("interval", "rectangle")[len(shape) - 1],
                           [2.0, 1.0][:len(shape)], shape)
         cls, _ = bang_bang_class(grid, grid.n_cells // 4)
@@ -263,8 +270,9 @@ class TestMinimize:
             patch.setattr("eigenweight.optimize.principal_eigenpair", counted)
             result = minimize_lambda1(cls, grid, max_iters=max_iters,
                                       restarts=8, seed=0, solver=solver)
-        _, m, pair, trace, converged, distinct = restart_loop(
+        _, m, pair, trace, converged, distinct, met_by_loop = restart_loop(
             cls, grid, max_iters, 1e-12, 8, 0, solver)
+        assert met_by_loop == met
         assert len(calls) == result.solves == result.eigensolves \
             == distinct == solves
         assert result.final_m.tobytes() == m.tobytes()
@@ -280,6 +288,70 @@ class TestMinimize:
         assert not result.converged
         assert len(result.trace) == 1
         assert equimeasurable(result.final_m, values, grid)
+
+
+def _flipped(f, grid, axes):
+    """Cell field f reflected along the given axes of its shape[::-1]
+    layout, in flat order."""
+    return np.ascontiguousarray(
+        np.flip(np.reshape(f, grid.shape[::-1]), axes)).reshape(-1)
+
+
+class TestReflections:
+    """The zero-flux problem commutes with every axis reflection g of the
+    grid, so the optimizer's pair for g m is its pair for m with u
+    reflected by g, to the last bit."""
+
+    @pytest.mark.parametrize("kind,extents,shape", [
+        ("interval", [1.0], [24]),
+        ("rectangle", [2.0, 1.0], [8, 6]),
+        ("box", [2.0, 1.0, 1.5], [4, 3, 5]),
+    ])
+    @pytest.mark.parametrize("solver", ["dense", "iterative"])
+    def test_pair_of_a_reflection_is_the_reflected_pair(
+            self, monkeypatch, rng, kind, extents, shape, solver):
+        grid = build_grid(kind, extents, shape)
+        cls, values = bang_bang_class(grid, grid.n_cells // 4)
+        m = rng.permutation(values)
+        shared = {}
+
+        def pair_of(field, memo):
+            # the run of a restart that starts at field and sweeps no more
+            monkeypatch.setattr(optimize, "_start_field",
+                                lambda *args: field.copy())
+            return _run_restart(0, cls, grid, 0, 0, 1e-12, solver, memo)[0][3]
+
+        base = pair_of(m, {})
+        for flags in itertools.product((False, True), repeat=grid.dim):
+            axes = tuple(np.flatnonzero(flags).tolist())
+            for memo in ({}, shared):  # a fresh memo, or one that holds it
+                pair = pair_of(_flipped(m, grid, axes), memo)
+                assert pair.u.tobytes() == \
+                    _flipped(base.u, grid, axes).tobytes(), axes
+                assert repr(pair.mu1) == repr(base.mu1)
+                assert repr(pair.lambda1) == repr(base.lambda1)
+                assert repr(pair.residual) == repr(base.residual)
+        assert len(shared) == 1  # one orbit, solved once
+
+    def test_mirror_minimizers_report_one_lambda1(self):
+        # criterion 7: restarts end on a minimizer or on its mirror image
+        # along x1, which must report the same lambda1 to the last bit
+        grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
+        cls, _ = bang_bang_class(grid, grid.n_cells // 4)
+        memo, ends = {}, {}
+        for restart in range(8):
+            (_, _, m, pair, _, converged), _ = _run_restart(
+                restart, cls, grid, 0, 200, 1e-12, "iterative", memo)
+            assert converged
+            orbit = min(_flipped(m, grid, axes).tobytes()
+                        for axes in [(), (0,), (1,), (0, 1)])
+            ends.setdefault(orbit, []).append(
+                (m.tobytes(), repr(pair.lambda1)))
+        mirrored = [runs for runs in ends.values()
+                    if len({m for m, _ in runs}) > 1]
+        assert mirrored, "no restart ended on a mirror image of another"
+        for runs in ends.values():
+            assert len({lam for _, lam in runs}) == 1, runs
 
 
 def _optimize_on(monkeypatch, cpus, *args, **kwargs):
