@@ -60,8 +60,8 @@ class OptimizationResult:
     mirror images share one solve, which is exact because each
     reflection maps the stiffness to itself.  ``eigensolves`` counts the
     eigensolves the call ran; it exceeds ``solves`` only with forked
-    workers, when one solves an arrangement that another solved in a run
-    not yet back in the parent when the restart was sent.
+    workers, each of which keeps its own memo, when two of them solve the
+    same orbit.
     ``comonotone_violations`` counts cell pairs ordered against the final
     eigenfunction (zero at a true fixed point) and ``monotone_x1``
     summarizes the final weight's monotonicity along the first axis.
@@ -135,7 +135,7 @@ def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
 
 
 def _orbit_pair(m, grid: Grid, solver: str, tol: float, memo: dict,
-                solved: dict) -> EigenPair:
+                solved: set) -> EigenPair:
     """The pair of arrangement m, solved once per orbit of m under the
     grid's axis reflections.
 
@@ -143,7 +143,8 @@ def _orbit_pair(m, grid: Grid, solver: str, tol: float, memo: dict,
     itself (P^T K P = K), so the pair of g m is the pair of m with u
     reflected by g.  The reflection of m with the least bytes is the
     orbit's representative r; ``memo`` maps the sha256 digest of r to
-    the pair solved on r, and ``solved`` gains each pair solved here.
+    the pair solved on r, and ``solved`` gains the digest of each pair
+    solved here.
     The pair returned is r's with u reflected back, a pure function of m
     whichever memo held r."""
     field = m.reshape(grid.shape[::-1])
@@ -156,8 +157,9 @@ def _orbit_pair(m, grid: Grid, solver: str, tol: float, memo: dict,
     key = hashlib.sha256(r.tobytes()).digest()
     pair = memo.get(key)
     if pair is None:
-        pair = memo[key] = solved[key] = principal_eigenpair(
-            weight_field(grid, r), solver=solver, tol=tol)
+        pair = memo[key] = principal_eigenpair(weight_field(grid, r),
+                                               solver=solver, tol=tol)
+        solved.add(key)
     return replace(pair, u=np.flip(pair.u.reshape(field.shape),
                                    axes).ravel())
 
@@ -166,13 +168,13 @@ def _run_restart(restart: int, cls: RearrangementClass, grid: Grid, seed,
                  max_iters: int, tol: float, solver: str,
                  memo: dict) -> tuple:
     """The fixed-point sweeps of one restart: its run (mu1, restart, m,
-    pair, trace, converged) and the pairs it solved, keyed by the sha256
-    digest of their orbit's representative (``_orbit_pair``).  ``memo``
-    maps such a digest to its pair and gains each pair solved here, so a
+    pair, trace, converged) and the set of orbits it solved, each the
+    sha256 digest of its representative (``_orbit_pair``).  ``memo`` maps
+    such a digest to its pair and gains each pair solved here, so a
     restart that reaches an arrangement solved before, or a reflection of
     one, follows the earlier path with sweeps alone."""
     m = _start_field(cls, grid, restart, seed)
-    trace, changed, converged, solved = [], 0, False, {}
+    trace, changed, converged, solved = [], 0, False, set()
     for it in range(max_iters + 1):
         pair = _orbit_pair(m, grid, solver, tol, memo, solved)
         trace.append((it, pair.mu1, pair.lambda1, changed))
@@ -196,16 +198,14 @@ def _usable_cpus() -> int:
 
 
 def _worker(conn, args: tuple) -> None:
-    """A forked worker: answers each message (restart, pairs) the parent
-    sends through the duplex pipe ``conn`` with that restart's
-    ``_run_restart``, or with an error.  Its one memo lasts the call and
-    gains the pairs each message brings."""
+    """A forked worker: answers each restart index the parent sends
+    through the duplex pipe ``conn`` with that restart's ``_run_restart``,
+    or with an error.  Its one memo lasts the call and holds only the
+    pairs its own restarts solved."""
     memo = {}
     try:
         while True:
-            restart, pairs = conn.recv()
-            memo.update(pairs)
-            conn.send(_run_restart(restart, *args, memo))
+            conn.send(_run_restart(conn.recv(), *args, memo))
     except Exception as exc:
         conn.send(exc)
 
@@ -215,16 +215,15 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
     processes, or None when they cannot run (no fork, or a worker died).
     Each worker gets a first restart, then the next one left whenever it
     sends back a run; the first error is raised at once, and no restart is
-    sent after it.  A restart goes out with the pairs that the other
-    workers have sent back since that worker's last message, so each pair
-    crosses each pipe at most once."""
+    sent after it.  A message to a worker is a restart index alone, and a
+    reply is a run and its solved digests, so the only pair to cross a
+    pipe is each run's own."""
     import multiprocessing.connection  # only a run that forks loads it
     try:  # forked, not spawned: a spawned worker's imports outlast a restart
         context = multiprocessing.get_context("fork")
     except ValueError:
         return None
-    # each worker's pipe -> the pairs solved elsewhere that it lacks
-    processes, unsent, runs = [], {}, []
+    processes, conns, runs = [], [], []
     try:
         for restart in range(workers):  # a first restart each
             conn, theirs = context.Pipe()
@@ -232,19 +231,15 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
                                              args=(theirs, args)))
             processes[-1].start()
             theirs.close()  # before the next fork, for its worker alone
-            conn.send((restart, {}))
-            unsent[conn] = {}
+            conn.send(restart)
+            conns.append(conn)
         for restart in range(workers, restarts + workers):
-            conn = multiprocessing.connection.wait(list(unsent))[0]
+            conn = multiprocessing.connection.wait(conns)[0]
             runs.append(conn.recv())
             if isinstance(runs[-1], Exception):
                 raise runs[-1]
-            for other, pairs in unsent.items():
-                if other is not conn:
-                    pairs.update(runs[-1][1])
             if restart < restarts:  # to the worker that is now free
-                conn.send((restart, unsent[conn]))
-                unsent[conn] = {}
+                conn.send(restart)
     except (OSError, EOFError):
         return None
     finally:
@@ -277,9 +272,8 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
     under the grid's axis reflections (``_orbit_pair``), so restarts that
     end on mirror images of one minimizer solve it once and report one
     lambda1.  Inline, one memo serves every restart.  A worker keeps its
-    own memo for the call, and each restart sent to it brings the pairs
-    the other workers have sent back since; an orbit that two workers
-    meet in restarts running at the same time may be solved by both.
+    own memo for the call and is sent restart indices alone, so an orbit
+    that two workers meet is solved by both.
     """
     if not cls.is_admissible:
         raise NotAdmissibleClass(

@@ -31,10 +31,11 @@ transforms per apply; its Ritz pair (theta, y) bounds mu1 from below, and
 the eigenfunction is u = P C^T Lambda^{-1/2} y.  Smooth weights stop in
 ARPACK's first cycle with |S y - theta y| <= tol theta, and the pair is
 the answer.  A run that stopped in its first cycle short of ``tol`` is
-refined from y within ``_PROBE_RESTARTS`` restarts.  A rough weight
-crowds the top of the spectrum of S (gaps under 1%), needs more cycles
-even at the loose tolerance, and would stall for hundreds of applies at
-``tol``; the solve then goes on, as it does when the refinement stalls,
+refined from y within ``_PROBE_RESTARTS`` restarts, and the refined pair
+must pass the same residual check.  A rough weight crowds the top of the
+spectrum of S (gaps under 1%), needs more cycles even at the loose
+tolerance, and would stall for hundreds of applies at ``tol``; the solve
+then goes on, as it does when the refinement stalls or fails the check,
 to spectral-transformation Lanczos (Ericsson and Ruhe 1980; Grimes, Lewis
 and Simon 1994) on the pencil (K, Q), Q = diag(q), with the theta in
 hand.  For a shift 0 < sigma < lambda1 the matrix
@@ -506,8 +507,10 @@ def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
     The run to ``_SHIFT_TOL`` from the seeded start gives a Ritz pair
     (theta, y).  It is the answer when |S y - theta y| <= tol theta.  If
     instead it ended in ARPACK's first cycle, ARPACK refines it from y at
-    ``tol`` within ``_PROBE_RESTARTS`` restarts.  Otherwise, or when the
-    refinement does not converge, ``_shift_invert`` starts from theta.  A
+    ``tol`` within ``_PROBE_RESTARTS`` restarts, and the refined pair is
+    the answer when it passes the same check: ARPACK's own convergence
+    test can pass on a pair whose residual is far above tol.  Otherwise,
+    ``_shift_invert`` starts from the last Ritz value, at most mu1.  A
     loose run that ends on a nonpositive theta hands ``_shift_invert`` the
     Rayleigh quotient of the indicator f of the positive cells instead,
     also at most mu1: the constant that moves f into V_m keeps its energy
@@ -522,18 +525,17 @@ def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
     # one ARPACK cycle for one eigenpair: eigsh's default Lanczos basis of
     # min(n, 20) vectors, and one more apply
     first_cycle = S.applies <= min(S.shape[0], 20) + 1
-    r = S.matvec(y) - theta * y
-    if np.sqrt(_dot(r, r)) <= tol * theta:
-        return _finalize_eigenpair(m, theta, to_vm(y),
-                                   SolveStats("arpack", S.applies))
-    if first_cycle:
-        try:
-            mu1, y = _arpack_top(S, tol, v0=y, maxiter=_PROBE_RESTARTS)
-        except IterationLimit:
-            pass
-        else:
-            return _finalize_eigenpair(m, mu1, to_vm(y),
+    for refined in (False, True):  # the loose pair, then a refined one
+        r = S.matvec(y) - theta * y
+        if np.sqrt(_dot(r, r)) <= tol * theta:
+            return _finalize_eigenpair(m, theta, to_vm(y),
                                        SolveStats("arpack", S.applies))
+        if refined or not first_cycle:
+            break
+        try:
+            theta, y = _arpack_top(S, tol, v0=y, maxiter=_PROBE_RESTARTS)
+        except IterationLimit:
+            break
     return _shift_invert(m, tol, theta, S.applies)
 
 

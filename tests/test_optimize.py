@@ -413,36 +413,6 @@ def _taken_restarts(path: Path) -> list:
                   for record in path.glob("[0-9]*"))
 
 
-def _memo_restart(restart, *args):
-    """``_run_restart`` after 20 ms, its run sent back with the worker's
-    pid and the digests its memo held at the start."""
-    time.sleep(0.02)
-    held = frozenset(args[-1])
-    run, solved = _run_restart(restart, *args)
-    return (os.getpid(), held, run), solved
-
-
-class _CutPairs:
-    """A worker's end of its pipe whose messages keep, of their pairs, the
-    first ones that pickle into ``budget`` bytes in all."""
-
-    def __init__(self, conn, budget: int):
-        self.conn, self.budget = conn, budget
-
-    def recv(self):
-        restart, pairs = self.conn.recv()
-        kept, used = {}, 0
-        for key, pair in pairs.items():
-            used += len(pickle.dumps(pair))
-            if used > self.budget:
-                break
-            kept[key] = pair
-        return restart, kept
-
-    def send(self, message):
-        self.conn.send(message)
-
-
 #: seconds that every restart of ``_failing_restart`` but the failing one
 #: takes
 _RESTART_S = 1.0
@@ -460,7 +430,7 @@ def _failing_restart(restart, *args):
         (records / f"fail.{os.getpid()}@{time.monotonic()!r}").touch()
         raise ValueError("restart 1 failed")
     time.sleep(_RESTART_S)
-    return None, {}
+    return None, set()
 
 
 def _report_blas_threads(restart, *args):
@@ -474,7 +444,7 @@ def _report_blas_threads(restart, *args):
                         solver="iterative")
     threads = (len(os.listdir("/proc/self/task"))
                if os.path.isdir("/proc/self/task") else 1)
-    return (_openblas_thread_counts(), threads), {}
+    return (_openblas_thread_counts(), threads), set()
 
 
 #: a child that runs ``_parallel_runs`` on an input pickle refuses (a
@@ -490,7 +460,7 @@ class Unpicklable(Exception):
         raise TypeError("this error cannot be pickled")
 
 def returns_input(restart, *args):
-    return args[0], {}
+    return args[0], set()
 
 def raises(restart, *args):
     raise Unpicklable()
@@ -544,10 +514,10 @@ class TestParallelRestarts:
            max_iters=st.sampled_from([2, 200]),
            cpus=st.integers(2, 3))
     @settings(max_examples=15, deadline=None)
-    def test_shared_table_keeps_every_byte(self, shape, fraction, seed,
-                                           solver, max_iters, cpus):
+    def test_which_worker_runs_a_restart_changes_no_byte(
+            self, shape, fraction, seed, solver, max_iters, cpus):
         # three workers on two CPUs as well: which worker runs a restart,
-        # and which pairs it has been sent, changes no byte
+        # and which orbits its memo holds, changes no byte
         grid = build_grid(("interval", "rectangle")[len(shape) - 1],
                           [2.0, 1.0][:len(shape)], list(shape))
         cls, _ = bang_bang_class(grid, max(1, int(fraction * grid.n_cells)))
@@ -564,29 +534,32 @@ class TestParallelRestarts:
         ("iterative", 0, "shift-invert")])
     def test_a_published_pair_reads_back_whole(self, monkeypatch, solver,
                                                permutation_seed, path):
-        # the pair goes to a worker in a message and comes back from the
-        # worker's memo, pickled both ways
+        # a run of one solve from m: the worker's run carries its own
+        # pair, pickled on the way back
         grid = build_grid("rectangle", [2.0, 1.0], [32, 16])
         m = np.where(np.arange(grid.n_cells) < 128, 1.0, -2.0)
         if permutation_seed is not None:
             m = np.random.default_rng(permutation_seed).permutation(m)
-        pair = principal_eigenpair(weight_field(grid, m), solver=solver)
-        monkeypatch.setattr(optimize, "_run_restart",
-                            lambda restart, memo: (memo[b"k" * 32], {}))
+        monkeypatch.setattr(optimize, "_start_field", lambda *args: m.copy())
+        args = (decreasing_rearrangement(m, grid), grid, 0, 0, 1e-12, solver)
+        run, solved = _run_restart(0, *args, {})
         context = multiprocessing.get_context("fork")
         ours, theirs = context.Pipe()
-        worker = context.Process(target=_worker, args=(theirs, ()))
+        worker = context.Process(target=_worker, args=(theirs, args))
         worker.start()
         theirs.close()  # so a worker that dies ends the recv below
         try:
-            ours.send((0, {b"k" * 32: pair}))
-            read, solved = ours.recv()
+            ours.send(0)
+            read_run, read_solved = ours.recv()
         finally:
             worker.terminate()
             worker.join()
             ours.close()
+        pair, read = run[3], read_run[3]
+        assert read_run[2].tobytes() == m.tobytes()
+        assert read_solved == solved and len(solved) == 1
         # every field, so a field that does not cross whole fails here
-        assert solved == {} and pair.stats.path == path
+        assert pair.stats.path == path
         assert repr(read.stats) == repr(pair.stats)
         for field in dataclasses.fields(pair):
             if field.name not in ("u", "stats"):
@@ -653,64 +626,40 @@ class TestParallelRestarts:
         assert result.final_m.tobytes() == inline.final_m.tobytes()
         assert result.trace == inline.trace
 
-    @pytest.mark.parametrize("budget", [1 << 24, 0])
-    def test_a_later_worker_reads_the_pairs_published(self, monkeypatch,
-                                                      budget):
-        # at two workers the parent sends restart s >= 2 when run s - 1
-        # comes back, so the worker's memo then holds every arrangement
-        # that the runs back by then met, a restart's random start
-        # included; with messages cut to no pairs it holds only what its
-        # own runs met, so the messages are the one way pairs travel
-        args = _tiny_args()
-        worker = optimize._worker
-        monkeypatch.setattr(optimize, "_worker", lambda conn, args: worker(
-            _CutPairs(conn, budget), args))
-        monkeypatch.setattr(optimize, "_run_restart", _memo_restart)
-        runs = _parallel_runs(2, 8, args)
-        met = [set(_run_restart(restart, *args, {})[1])
-               for restart in range(8)]
-        crossed = missed = 0
-        for (pid, held, (_, restart, *_)), solved in runs:
-            own = set().union(*(met[earlier] for (other, _, (_, earlier, *_)),
-                                _ in runs if other == pid and earlier < restart))
-            for (other, _, (_, earlier, *_)), _ in runs[:max(restart - 1, 0)]:
-                if budget:
-                    assert met[earlier] <= held
-                    assert met[earlier].isdisjoint(solved)
-                crossed += other != pid
-                missed += not met[earlier] <= held
-            if not budget:
-                assert held == own
-        # some run of one worker came back before a restart of the other
-        # was sent, and without the pairs its memo lacked what that run met
-        assert crossed
-        assert bool(missed) == (not budget)
-
     def test_batches_past_a_pipe_buffer_end(self, monkeypatch):
-        # a 64x32 pair pickles to over 16 KiB, so a batch of four or more
-        # outgrows a 64 KiB pipe buffer: neither side may wait on a send
-        # while the other does
-        grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
-        cls, _ = bang_bang_class(grid, 512)
-        kwargs = dict(restarts=8, seed=0, solver="iterative")
+        # a run on 4,608 cells carries m and u, over 72 KiB pickled, so a
+        # worker's reply outgrows a 64 KiB pipe buffer while the parent's
+        # messages are restart indices alone
+        grid = build_grid("rectangle", [2.0, 1.0], [96, 48])
+        cls, _ = bang_bang_class(grid, grid.n_cells // 4)
+        kwargs = dict(max_iters=1, restarts=4, seed=0, solver="iterative")
         inline = _optimize_on(monkeypatch, 1, cls, grid, **kwargs)
-        parent, sent = os.getpid(), []
+        parent, sent, received = os.getpid(), [], []
         send = multiprocessing.connection.Connection.send
+        recv = multiprocessing.connection.Connection.recv
 
-        def measured(conn, message):
+        def measured_send(conn, message):
             if os.getpid() == parent:
-                sent.append(len(pickle.dumps(message)))
+                sent.append(message)
             send(conn, message)
 
+        def measured_recv(conn):
+            message = recv(conn)
+            if os.getpid() == parent:
+                received.append(len(pickle.dumps(message)))
+            return message
+
         monkeypatch.setattr(multiprocessing.connection.Connection, "send",
-                            measured)
+                            measured_send)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                            measured_recv)
         pooled = _optimize_on(monkeypatch, 2, cls, grid, **kwargs)
-        assert max(sent) > 1 << 16
+        assert sorted(sent) == list(range(4))
+        assert len(received) == 4 and min(received) > 1 << 16
         _assert_same_bytes(pooled, inline)
 
     @pytest.mark.parametrize("ending", ["returns", "raises", "falls back"])
-    def test_no_worker_or_mapping_outlives_a_call(self, monkeypatch,
-                                                  ending):
+    def test_no_worker_outlives_a_call(self, monkeypatch, ending):
         grid = build_grid("interval", [1.0], [32])
         cls, _ = bang_bang_class(grid, 8)
         inline = _optimize_on(monkeypatch, 1, cls, grid, restarts=4, seed=2)
@@ -735,28 +684,30 @@ class TestParallelRestarts:
         assert multiprocessing.active_children() == []
 
     def test_a_failing_worker_sends_its_error_and_ends(self, monkeypatch):
-        # restarts 0, 1 and 2 wait in the pipe; the worker answers 0 with
-        # the pair its message brought, fails on 1 and ends by itself
-        # without reading 2
+        # restarts 0 to 3 wait in the pipe; the worker answers 0 and 1 from
+        # the one memo its own restarts fill, fails on 2 and ends by itself
+        # without reading 3
         context = multiprocessing.get_context("fork")
         ours, theirs = context.Pipe()
 
-        def fails_on_restart_1(restart, memo):
-            if restart == 1:
-                raise ValueError("restart 1 failed")
-            return restart, dict(memo)
+        def fails_on_restart_2(restart, memo):
+            if restart == 2:
+                raise ValueError("restart 2 failed")
+            memo[restart] = None
+            return restart, set(memo)
 
-        monkeypatch.setattr(optimize, "_run_restart", fails_on_restart_1)
-        for restart in range(3):
-            ours.send((restart, {b"k" * 32: restart}))
+        monkeypatch.setattr(optimize, "_run_restart", fails_on_restart_2)
+        for restart in range(4):
+            ours.send(restart)
         worker = context.Process(target=_worker, args=(theirs, ()))
         worker.start()
         worker.join(30)
         try:
             assert worker.exitcode == 0
-            assert ours.recv() == (0, {b"k" * 32: 0})
+            assert ours.recv() == (0, {0})
+            assert ours.recv() == (1, {0, 1})
             assert isinstance(ours.recv(), ValueError)
-            assert not ours.poll() and theirs.recv() == (2, {b"k" * 32: 2})
+            assert not ours.poll() and theirs.recv() == 3
         finally:
             worker.terminate()
             worker.join()
@@ -820,7 +771,7 @@ class TestParallelRestarts:
                 set_(count)
         # one BLAS thread, and no OpenBLAS helper thread in the worker, not
         # even after the solve's own _one_blas_thread
-        assert parts == [(([1] * len(controls), 1), {})] * 3
+        assert parts == [(([1] * len(controls), 1), set())] * 3
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_inline_restarts_solve_at_one_blas_thread(self, monkeypatch,

@@ -577,6 +577,20 @@ class TestDctKernel:
         assert pair.stats.path == "shift-invert"
         assert_matches_dense(pair, m)
 
+    def test_refined_pair_passes_the_residual_check(self, monkeypatch):
+        # the refinement converges by ARPACK's own test, but its pair's
+        # residual is 6.6e-3 theta and its lambda1 6.6e-3 off; inertia
+        # bisection at 60 digits gives 528137859.30357839
+        grid = build_grid("box", [0.00649496888538848, 623.1338406253602,
+                                  0.5669134781240329], [2, 3, 5])
+        values = np.full(grid.n_cells, -1.1607878233823088)
+        values[[16, 20]] = 0.0001798056975087636
+        runs = arpack_runs(monkeypatch)
+        pair = principal_eigenpair(weights(grid, values), solver="iterative")
+        assert runs == ["S", "S", "shifted"]
+        assert pair.stats.path == "shift-invert"
+        assert abs(pair.lambda1 / 528137859.30357839 - 1) <= 1e-12
+
     @settings(max_examples=60, deadline=None)
     @given(grid_spec=st.sampled_from(ROUGH_GRIDS),
            kind=st.sampled_from(["smooth", "patchy", "rough"]),
