@@ -178,7 +178,8 @@ def dct_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues of the stiffness matrix in the orthonormal DCT-II basis.
 
     On a uniform grid the DCT-II along each axis diagonalizes the 1D
-    Neumann Laplacian with eigenvalues 2 - 2 cos(pi k / n), so K is
+    Neumann Laplacian with eigenvalues 4 sin^2(pi k / 2n), which do not
+    cancel as 2 - 2 cos(pi k / n) does when pi k / n is small.  K is
     diagonal in the tensor-product basis with eigenvalues summed over axes,
     each scaled by its face weight.  The array has layout shape[::-1] (the
     layout of ``to_dct``); entry [0, ..., 0] is the constant mode, exactly 0.
@@ -187,7 +188,7 @@ def dct_eigenvalues(grid: Grid) -> np.ndarray:
     for a, n in enumerate(grid.shape):
         face_weight = grid.cell_measure / grid.spacing[a] ** 2
         k = np.arange(n)
-        axis_vals = face_weight * (2.0 - 2.0 * np.cos(np.pi * k / n))
+        axis_vals = face_weight * 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
         lam += axis_vals.reshape((n,) + (1,) * a)
     lam.setflags(write=False)
     return lam

@@ -53,7 +53,6 @@ do not depend on the process's BLAS thread count.
 from __future__ import annotations
 
 import ctypes
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
@@ -345,16 +344,13 @@ def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
     not ``_ROUNDING_MARGIN`` times above the pencil's rounding level is
     lost to rounding; a residual cannot tell, since accurate solves on
     cells of aspect ratio 10^6 report residuals near 1."""
-    # kappa is the least over the axes of w 4 sin^2(pi / 2n) / h^2; w cancels
-    level = _ROUNDING_MARGIN * np.finfo(float).eps * np.abs(m.values).max() \
-        * max(h * h / (4 * math.sin(math.pi / (2 * n)) ** 2)
-              for n, h in zip(m.grid.shape, m.grid.spacing))
+    K, q = assemble_stiffness(m.grid), _weighted_values(m)
+    level = (_ROUNDING_MARGIN * np.finfo(float).eps * np.abs(q).max()
+             / dct_eigenvalues(m.grid).flat[1:].min())
     if not mu1 > level:
         raise SingularSystem(f"the solver's mu1 = {mu1:g} is not above "
                              f"{level:g}: the weight's positive part is lost "
                              "to rounding")
-    K = assemble_stiffness(m.grid)
-    q = _weighted_values(m)
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
     Ku = K @ u
@@ -517,14 +513,14 @@ def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
     and, as int m < 0, cannot lower f^T Q f.
     """
     S, to_vm = _dct_operator(m)
+    ncv = min(S.shape[0], 20)  # the Lanczos basis of both runs on S
     try:
-        theta, y = _arpack_top(S, _SHIFT_TOL)
+        theta, y = _arpack_top(S, _SHIFT_TOL, ncv=ncv)
     except SingularSystem:
         return _shift_invert(m, tol, rayleigh_quotient(m, m.values > 0),
                              S.applies)
-    # one ARPACK cycle for one eigenpair: eigsh's default Lanczos basis of
-    # min(n, 20) vectors, and one more apply
-    first_cycle = S.applies <= min(S.shape[0], 20) + 1
+    # one ARPACK cycle for one eigenpair: ncv applies and one more
+    first_cycle = S.applies <= ncv + 1
     for refined in (False, True):  # the loose pair, then a refined one
         r = S.matvec(y) - theta * y
         if np.sqrt(_dot(r, r)) <= tol * theta:
@@ -533,7 +529,7 @@ def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
         if refined or not first_cycle:
             break
         try:
-            theta, y = _arpack_top(S, tol, v0=y, maxiter=_PROBE_RESTARTS)
+            theta, y = _arpack_top(S, tol, y, ncv=ncv, maxiter=_PROBE_RESTARTS)
         except IterationLimit:
             break
     return _shift_invert(m, tol, theta, S.applies)

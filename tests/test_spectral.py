@@ -1,3 +1,4 @@
+import decimal
 import os
 import subprocess
 import sys
@@ -106,13 +107,16 @@ def shift_invert(m, tol=1e-12):
     return spectral._shift_invert(m, tol, theta)
 
 
-def arpack_runs(monkeypatch):
-    """Patch ``eigsh`` to record, per call, whether it ran on S."""
+def arpack_runs(monkeypatch, ncvs=None):
+    """Patch ``eigsh`` to record, per call, whether it ran on S, and its
+    ``ncv`` in ``ncvs`` when given a list."""
     runs = []
     eigsh = spla.eigsh
 
     def recorded(A, *args, **kwargs):
         runs.append("S" if isinstance(A, spectral._Counted) else "shifted")
+        if ncvs is not None:
+            ncvs.append(kwargs.get("ncv"))
         return eigsh(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", recorded)
@@ -128,6 +132,43 @@ def assert_dct_diagonalizes_stiffness(grid):
     assert lam[0] == 0.0 and lam[1:].min() > 0
     defect = np.abs(C.T @ (lam[:, None] * C) - K).max()
     assert defect <= 1e-13 * np.abs(K).max()
+
+
+def decimal_series(first, ratio):
+    """Sum of the series first, first * ratio(1), ... in the current
+    decimal context, to the term that no longer changes it."""
+    total, term, k = decimal.Decimal(0), first, 0
+    while total + term != total:
+        total += term
+        k += 1
+        term *= ratio(k)
+    return total
+
+
+def decimal_cos_pi_over(n):
+    """cos(pi / n) in the current decimal context: pi by Machin's formula,
+    then the Taylor series."""
+    def arctan_inverse(x):
+        return decimal_series(decimal.Decimal(1) / x,
+                              lambda k: -(2 * k - 1) / decimal.Decimal(
+                                  (2 * k + 1) * x * x))
+
+    x = 4 * (4 * arctan_inverse(5) - arctan_inverse(239)) / n
+    return decimal_series(decimal.Decimal(1),
+                          lambda k: -x * x / (2 * k * (2 * k - 1)))
+
+
+def assert_dense_matches_tight_iterative(cells):
+    """The two-phase interval's dense mu1, the Rayleigh quotient of eigh's
+    vector, against a solve of the DCT kernel at tol 1e-15."""
+    grid = build_grid("interval", [1.0], [cells])
+    x = grid.cell_centers()[:, 0]
+    m = weights(grid, np.where(x < 0.5, 1.0, -3.0))
+    dense = principal_eigenpair(m, solver="dense")
+    iterative = principal_eigenpair(m, solver="iterative", tol=1e-15)
+    assert abs(dense.mu1 - iterative.mu1) <= 1e-14 * iterative.mu1
+    assert dense.mu1 == pytest.approx(rayleigh_quotient(m, dense.u),
+                                      rel=1e-14)
 
 
 def assert_matches_dense(pair, m):
@@ -209,15 +250,24 @@ class TestPrincipalEigenpair:
 
     def test_dense_mu1_matches_tight_iterative_solve_at_1024_cells(self):
         # criterion 1's weight: eigh's own eigenvalue sat 1.4e-10 to 2.3e-10
-        # off here, the Rayleigh quotient of its vector 4e-12
-        grid = build_grid("interval", [1.0], [1024])
+        # off here, the Rayleigh quotient of its vector 1.6e-15; the DCT
+        # kernel's eigenvalues as 2 - 2 cos(pi k / n) put 4e-12 between them
+        assert_dense_matches_tight_iterative(1024)
+
+    def test_dense_mu1_matches_tight_iterative_solve_at_4096_cells(self):
+        # 2.4e-11 apart with the kernel's eigenvalues as 2 - 2 cos(pi k / n)
+        assert_dense_matches_tight_iterative(4096)
+
+    def test_iterative_two_phase_interval_at_65536_cells(self):
+        # the discretization error is 5.8e-10 of lambda1; the kernel's
+        # eigenvalues as 2 - 2 cos(pi k / n) put it 2.9e-8 off
+        grid = build_grid("interval", [1.0], [65536])
         x = grid.cell_centers()[:, 0]
         m = weights(grid, np.where(x < 0.5, 1.0, -3.0))
-        dense = principal_eigenpair(m, solver="dense")
-        iterative = principal_eigenpair(m, solver="iterative", tol=1e-15)
-        assert abs(dense.mu1 - iterative.mu1) <= 1e-11 * iterative.mu1
-        assert dense.mu1 == pytest.approx(rayleigh_quotient(m, dense.u),
-                                          rel=1e-14)
+        exact = two_phase_lambda1(1.0, 3.0, 0.5, 1.0, tol=1e-15)
+        assert exact == 4.1753768819216415
+        pair = principal_eigenpair(m, solver="iterative")
+        assert abs(pair.lambda1 - exact) <= 5e-9 * exact
 
     def test_eigenpair_identities(self, interval64, rng):
         K = assemble_stiffness(interval64)
@@ -445,6 +495,14 @@ class TestDctKernel:
                                   norm="ortho") * scale
         assert out.tobytes() == expected.ravel().tobytes()
 
+    def test_least_eigenvalue_exact_at_4096_cells(self):
+        # unit face weight; 2 - 2 cos(pi / n) in floats is 2.5e-11 off
+        grid = build_grid("interval", [4096.0], [4096])
+        with decimal.localcontext(decimal.Context(prec=40)):
+            exact = float(2 - 2 * decimal_cos_pi_over(4096))
+        least = dct_eigenvalues(grid)[1]
+        assert abs(least - exact) <= 1e-15 * exact
+
     def test_cached_constants_are_read_only(self):
         grid = build_grid("rectangle", [2.0, 1.0], [8, 4])
         values = np.where(np.arange(32) < 8, 1.0, -2.0)
@@ -533,13 +591,13 @@ class TestDctKernel:
 
     def test_smooth_weight_takes_one_arpack_run(self, monkeypatch):
         # the loose run ends in ARPACK's first cycle and passes the check
-        runs = arpack_runs(monkeypatch)
+        ncvs = []
+        runs = arpack_runs(monkeypatch, ncvs)
         m = smooth_x1(build_grid("rectangle", [2.0, 1.0], [64, 32]))
         pair = principal_eigenpair(m, solver="iterative")
         assert runs == ["S"]
-        # one cycle of eigsh's default min(n, 20) + 1 applies, and the
-        # residual check's one
-        assert pair.stats.applies == min(m.grid.n_cells, 20) + 2
+        # one cycle of ncv + 1 applies, and the residual check's one
+        assert pair.stats.applies == ncvs[0] + 2
 
     def test_rough_weight_goes_straight_to_shift_invert(self, monkeypatch):
         # a random start of the criterion-7 cylinder: no probe at tol
@@ -552,10 +610,14 @@ class TestDctKernel:
 
     def test_patchy_weight_is_refined_on_s(self, monkeypatch):
         # the loose run ends in its first cycle short of tol
-        runs = arpack_runs(monkeypatch)
+        ncvs = []
+        runs = arpack_runs(monkeypatch, ncvs)
         m = patchy(build_grid("rectangle", [2.0, 1.0], [64, 32]), 0, 8)
         pair = principal_eigenpair(m, solver="iterative")
         assert runs == ["S", "S"]
+        # both runs on S build the one basis size that the first-cycle
+        # test counts
+        assert ncvs[0] is not None and ncvs[1] == ncvs[0]
         assert pair.stats.path == "arpack"
         assert_matches_dense(pair, m)
 
