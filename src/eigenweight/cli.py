@@ -6,8 +6,8 @@ directory.  Identical config and seed produce byte-identical outputs up
 to the timestamp field inside JSON files.
 
 Exit codes: 0 ok, 2 parse error, 3 invalid input (``errors.InputError``),
-4 solver error (``errors.SolverError``), 5 iteration limit reached with
-partial output written.
+4 solver error (``errors.SolverError``), 5 iteration limit: an optimize at
+``max_iters`` writes partial output, a stopped ARPACK run writes nothing.
 """
 
 from __future__ import annotations

@@ -95,8 +95,8 @@ def build_grid(kind: str, extents, shape) -> Grid:
         Domain family; must match the number of axes given.
     extents : sequence of float
         Positive, finite side length per axis, such that every squared
-        spacing, the cell measure and the volume are finite and positive
-        in floating point.
+        spacing, the cell measure, the volume and each axis's stiffness
+        eigenvalues are finite and positive in floating point.
     shape : sequence of int
         Cells per axis, each a whole number (16.0 counts as 16) and at
         least 2, with at most MAX_CELLS cells in all.
@@ -141,6 +141,7 @@ def build_grid(kind: str, extents, shape) -> Grid:
             raise InvalidSpec(
                 f"extents {extents} on shape {shape} give a {name} of "
                 f"{value!r}, which must be finite and positive")
+    dct_eigenvalues(grid)
     return grid
 
 
@@ -183,12 +184,20 @@ def dct_eigenvalues(grid: Grid) -> np.ndarray:
     diagonal in the tensor-product basis with eigenvalues summed over axes,
     each scaled by its face weight.  The array has layout shape[::-1] (the
     layout of ``to_dct``); entry [0, ..., 0] is the constant mode, exactly 0.
+    A nonconstant axis eigenvalue of 0 or inf raises InvalidSpec; the sums
+    stay finite, as two face weights multiply to 1 or to a squared spacing.
     """
     lam = np.zeros(grid.shape[::-1])
     for a, n in enumerate(grid.shape):
         face_weight = grid.cell_measure / grid.spacing[a] ** 2
         k = np.arange(n)
-        axis_vals = face_weight * 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            axis_vals = face_weight * 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+        if not (0 < axis_vals[1] and axis_vals[-1] < np.inf):
+            raise InvalidSpec(
+                f"extents {grid.extents} on shape {grid.shape} give axis {a} "
+                f"a face weight of {face_weight!r}, whose stiffness "
+                "eigenvalues must be finite and positive")
         lam += axis_vals.reshape((n,) + (1,) * a)
     lam.setflags(write=False)
     return lam

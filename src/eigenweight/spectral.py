@@ -17,37 +17,38 @@ are valid.  It is the oracle of record up to ``DENSE_CELL_LIMIT`` cells.
 The iterative path uses that the orthonormal DCT-II diagonalizes K
 exactly on these uniform grids, K = C^T Lambda C.  With q = W m and
 P = I - 1 q^T / int m, which maps the non-constant fields onto V_m without
-changing their energy, the Rayleigh quotient on V_m becomes the symmetric
-operator
+changing their energy, it works through two maps (Lambda^{-1/2} is 0 on
+the constant mode):
 
-    S = Lambda^{-1/2} C (diag(q) - q q^T / int m) C^T Lambda^{-1/2}
+    U = P C^T Lambda^{-1/2},    D = Lambda^{-1/2} C diag(q).
 
-on the non-constant DCT modes.  The solution operator is P K^+ P^T
-(diag(q) f) through the same kernel.
+T = U D is the solution operator on V_m, and the symmetric S = D U =
+Lambda^{-1/2} C (diag(q) - q q^T / int m) C^T Lambda^{-1/2} is the Rayleigh
+quotient on V_m in DCT coordinates.  T and S share their nonzero
+eigenvalues: mu1 is the top one of S, and u = U y for its eigenvector y.
 
-The iterative path runs in two stages.  ARPACK (``eigsh``) first runs on
-S to the loose tolerance ``_SHIFT_TOL`` from a seeded start, at two
-transforms per apply; its Ritz pair (theta, y) bounds mu1 from below, and
-the eigenfunction is u = P C^T Lambda^{-1/2} y.  Smooth weights stop in
-ARPACK's first cycle with |S y - theta y| <= tol theta, and the pair is
-the answer.  A run that stopped in its first cycle short of ``tol`` is
-refined from y within ``_PROBE_RESTARTS`` restarts, and the refined pair
-must pass the same residual check.  A rough weight crowds the top of the
-spectrum of S (gaps under 1%), needs more cycles even at the loose
-tolerance, and would stall for hundreds of applies at ``tol``; the solve
-then goes on, as it does when the refinement stalls or fails the check,
-to spectral-transformation Lanczos (Ericsson and Ruhe 1980; Grimes, Lewis
-and Simon 1994) on the pencil (K, Q), Q = diag(q), with the theta in
-hand.  For a shift 0 < sigma < lambda1 the matrix
-B = K - sigma Q is positive definite (on each pencil eigenvector
-u^T B u = (lambda_j - sigma) u^T Q u > 0, and on the constants
--sigma int m > 0), so Lanczos on Q u = nu B u in the B inner product
-finds nu1 = 1/(lambda1 - sigma) at one sparse LU solve per apply.  The
-shift is certified by Sylvester inertia: a symmetric-mode LU of B with
-diagonal pivots has as many negative pivots as the pencil has eigenvalues
-in (0, sigma), so all-positive pivots prove sigma < lambda1.  Every
-iterative solve runs with the bundled OpenBLAS at one thread, so its bytes
-do not depend on the process's BLAS thread count.
+ARPACK (``eigsh``) runs on S to the loose tolerance ``_SHIFT_TOL`` from a
+seeded start, at two transforms per apply.  Smooth weights stop in its
+first cycle with |S y - theta y| <= tol theta, and the pair is the answer.
+A run that stopped in its first cycle short of ``tol`` is refined from y
+within ``_PROBE_RESTARTS`` restarts, and the refined pair must pass the
+same check.  Every other outcome takes one route: a theta <= 0, a
+refinement that stalls or ends on theta <= 0, a pair that fails the
+check, and a rough weight, whose crowded spectrum (gaps under 1%) needs
+more cycles even at the loose tolerance.  The route is
+spectral-transformation Lanczos (Ericsson and Ruhe 1980; Grimes, Lewis and
+Simon 1994) on the pencil (K, Q), Q = diag(q), from the last positive Ritz
+value, or else from the Rayleigh quotient of the indicator of the positive
+cells.  For a shift 0 < sigma < lambda1 the matrix B = K - sigma Q is
+positive definite (on each pencil eigenvector u^T B u =
+(lambda_j - sigma) u^T Q u > 0, and on the constants -sigma int m > 0), so
+Lanczos on Q u = nu B u in the B inner product finds
+nu1 = 1/(lambda1 - sigma) at one sparse LU solve per apply.  The shift is
+certified by Sylvester inertia: a symmetric-mode LU of B with diagonal
+pivots has as many negative pivots as the pencil has eigenvalues in
+(0, sigma), so all-positive pivots prove sigma < lambda1.  Every iterative
+solve runs with the bundled OpenBLAS at one thread, so its bytes do not
+depend on the process's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -250,34 +251,53 @@ def project_mean_zero(m: WeightField, f) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _mode_scale(grid: Grid, exponent: float) -> np.ndarray:
-    """Lambda^exponent on the non-constant DCT modes; 0 on the constant."""
+def _mode_scale(grid: Grid) -> np.ndarray:
+    """Lambda^{-1/2} on the non-constant DCT modes; 0 on the constant."""
     lam = dct_eigenvalues(grid)
     out = np.zeros_like(lam)
-    out.flat[1:] = lam.flat[1:] ** exponent
+    out.flat[1:] = lam.flat[1:] ** -0.5
     out.setflags(write=False)
     return out
+
+
+def _dct_maps(m: WeightField):
+    """(up, down): U and D of the module docstring.
+
+    ``up`` works on one fresh array and never writes y: ARPACK passes
+    slices of its Krylov basis.  ``down`` consumes u.  S = D U acts on all
+    DCT coefficients; the zeroed constant mode only adds the eigenvalue 0.
+    """
+    grid = m.grid
+    q = _weighted_values(m)
+    scale = _mode_scale(grid)
+
+    def up(y):
+        u = from_dct(grid, y.reshape(scale.shape) * scale)
+        u -= _dot(q, u) / m.integral
+        return u
+
+    def down(u):
+        u *= q
+        c = to_dct(grid, u)
+        c *= scale
+        return c.ravel()
+
+    return up, down
 
 
 def solution_operator(m: WeightField, f) -> np.ndarray:
     """Apply the constrained solution operator of the zero-flux problem.
 
     For f in V_m, returns the unique u in V_m with
-    u^T K phi = sum_i w_i m_i f_i phi_i for every phi in V_m, computed as
-    P K^+ P^T (W m f): P^T removes the Lagrange component along W m so the
-    right-hand side is mean zero, and K^+ is a division in the DCT basis.
+    u^T K phi = sum_i w_i m_i f_i phi_i for every phi in V_m.  That is
+    T f = U D f (module docstring), computed on the unit weight; f outside
+    V_m is projected onto it first.
     """
     if m.integral == 0.0:
         raise ZeroWeightIntegral("weight integrates to zero")
-    f = as_field(m.grid, f)
-    m, exp = _unit_weight(m)
-    q = _weighted_values(m)
-    g = q * f
-    g -= q * (g.sum() / m.integral)
-    c = to_dct(m.grid, g)
-    c *= _mode_scale(m.grid, -1.0)
-    u = from_dct(m.grid, c)
-    return np.ldexp(project_mean_zero(m, u), exp)
+    unit, exp = _unit_weight(m)
+    up, down = _dct_maps(unit)
+    return np.ldexp(up(down(project_mean_zero(unit, f))), exp)
 
 
 def _dense_pencil(m: WeightField):
@@ -439,41 +459,14 @@ class _Counted(spla.LinearOperator):
     _matvec = matvec
 
 
-def _dct_operator(m: WeightField):
-    """S (module docstring) as a counted operator, and the map y -> u.
-
-    S acts on all DCT coefficients with the constant mode zeroed, which
-    only adds the eigenvalue 0 below mu1 > 0.  An apply works in place on
-    one fresh array: y is a slice of ARPACK's Krylov basis, never changed.
-    """
-    grid = m.grid
-    q = _weighted_values(m)
-    scale = _mode_scale(grid, -0.5)
-
-    def to_vm(y):
-        u = from_dct(grid, y.reshape(scale.shape) * scale)
-        u -= _dot(q, u) / m.integral
-        return u
-
-    def matvec(y):
-        u = to_vm(y)
-        u *= q
-        c = to_dct(grid, u)
-        c *= scale
-        return c.ravel()
-
-    return _Counted(matvec, grid.n_cells), to_vm
-
-
 def _arpack_top(A, tol: float, v0=None, **kwargs):
     """Largest eigenvalue and eigenvector of A by ARPACK (``eigsh``).
 
     The default start vector is a fixed-seed random vector, generic
     against grid symmetries, and ARPACK's restart draws come from a
     fixed-seed generator, so the same inputs always produce the same
-    bytes.  Every operator solved here has a positive top eigenvalue, so a
-    nonpositive one raises SingularSystem; a run that does not converge
-    raises IterationLimit.
+    bytes.  A run that does not converge raises IterationLimit; the
+    eigenvalue may be of either sign.
     """
     if v0 is None:
         v0 = _start_vector(A.shape[0])
@@ -483,9 +476,6 @@ def _arpack_top(A, tol: float, v0=None, **kwargs):
                                 **kwargs)
     except spla.ArpackNoConvergence as exc:
         raise IterationLimit(f"ARPACK did not converge: {exc}") from exc
-    if vals[0] <= 0:
-        raise SingularSystem(
-            "iterative solver converged to a nonpositive eigenvalue")
     return float(vals[0]), vecs[:, 0]
 
 
@@ -498,33 +488,28 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
-    """Largest eigenvalue of S; a loose ARPACK run picks the path.
+    """Largest eigenvalue of S = D U by the stages of the module docstring.
 
-    The run to ``_SHIFT_TOL`` from the seeded start gives a Ritz pair
-    (theta, y).  It is the answer when |S y - theta y| <= tol theta.  If
-    instead it ended in ARPACK's first cycle, ARPACK refines it from y at
-    ``tol`` within ``_PROBE_RESTARTS`` restarts, and the refined pair is
-    the answer when it passes the same check: ARPACK's own convergence
-    test can pass on a pair whose residual is far above tol.  Otherwise,
-    ``_shift_invert`` starts from the last Ritz value, at most mu1.  A
-    loose run that ends on a nonpositive theta hands ``_shift_invert`` the
-    Rayleigh quotient of the indicator f of the positive cells instead,
-    also at most mu1: the constant that moves f into V_m keeps its energy
-    and, as int m < 0, cannot lower f^T Q f.
+    ARPACK's own convergence test can pass on a pair whose residual is far
+    above tol, so the refined pair is checked too.  The Rayleigh quotient
+    of the indicator f of the positive cells is at most mu1, as a Ritz
+    value is: the constant that moves f into V_m keeps its energy and, as
+    int m < 0, cannot lower f^T Q f.
     """
-    S, to_vm = _dct_operator(m)
+    up, down = _dct_maps(m)
+    S = _Counted(lambda y: down(up(y)), m.grid.n_cells)
     ncv = min(S.shape[0], 20)  # the Lanczos basis of both runs on S
-    try:
-        theta, y = _arpack_top(S, _SHIFT_TOL, ncv=ncv)
-    except SingularSystem:
-        return _shift_invert(m, tol, rayleigh_quotient(m, m.values > 0),
-                             S.applies)
+    theta, y = _arpack_top(S, _SHIFT_TOL, ncv=ncv)
     # one ARPACK cycle for one eigenpair: ncv applies and one more
     first_cycle = S.applies <= ncv + 1
+    last = 0.0  # the last positive Ritz value
     for refined in (False, True):  # the loose pair, then a refined one
+        if not theta > 0:
+            break
+        last = theta
         r = S.matvec(y) - theta * y
         if np.sqrt(_dot(r, r)) <= tol * theta:
-            return _finalize_eigenpair(m, theta, to_vm(y),
+            return _finalize_eigenpair(m, theta, up(y),
                                        SolveStats("arpack", S.applies))
         if refined or not first_cycle:
             break
@@ -532,7 +517,8 @@ def _dct_iteration(m: WeightField, tol: float) -> EigenPair:
             theta, y = _arpack_top(S, tol, y, ncv=ncv, maxiter=_PROBE_RESTARTS)
         except IterationLimit:
             break
-    return _shift_invert(m, tol, theta, S.applies)
+    return _shift_invert(m, tol, last or rayleigh_quotient(m, m.values > 0),
+                         S.applies)
 
 
 def _shifted_lu(m: WeightField, sigma: float):
@@ -557,10 +543,9 @@ def _shift_invert(m: WeightField, tol: float, theta: float,
                   applies: int = 0) -> EigenPair:
     """Largest eigenvalue nu1 = 1/(lambda1 - sigma) of Q u = nu B u.
 
-    theta <= mu1 is a Ritz value of S, so 1/theta is at least lambda1; the
+    theta <= mu1 (``_dct_iteration``), so 1/theta is at least lambda1; the
     first shift is ``_SHIFT_SHARE / theta``, halved until the inertia of B
-    proves sigma < lambda1.  Lanczos then runs in the B inner product with
-    one LU solve per apply, and lambda1 is sigma + 1/nu1.  ``applies`` are
+    proves sigma < lambda1, and lambda1 is sigma + 1/nu1.  ``applies`` are
     those already spent on this solve.
     """
     sigma = _SHIFT_SHARE / theta
@@ -574,6 +559,9 @@ def _shift_invert(m: WeightField, tol: float, theta: float,
     Binv = _Counted(lu.solve, m.grid.n_cells)
     nu1, u = _arpack_top(scipy.sparse.diags(_weighted_values(m)), tol, M=B,
                          Minv=Binv)
+    if not nu1 > 0:
+        raise SingularSystem(
+            f"shift-invert Lanczos converged to nu1 = {nu1:g}, not positive")
     stats = SolveStats("shift-invert", applies + Binv.applies, sigma,
                        halvings)
     return _finalize_eigenpair(m, 1.0 / (sigma + 1.0 / nu1),

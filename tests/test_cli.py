@@ -347,6 +347,26 @@ class TestMainExitCodes:
         assert "extents" in err and "finite and positive" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("solver", ["dense", "iterative"])
+    @pytest.mark.parametrize("extents,shape", [
+        ([6.4e151, 2e-100, 2e-100], [64, 2, 2]),  # x1 face weight underflows
+        ([2e-150, 2e150, 2e150], [4, 2, 2]),  # x1 face weight overflows
+    ])
+    def test_face_weight_out_of_range_exit_3(self, tmp_path, capsys, extents,
+                                             shape, solver):
+        # every squared spacing, the cell measure and the volume are finite
+        # and positive; the solvers once ended in an ARPACK error, an
+        # IndexError or a failed Cholesky factorization
+        cfg = tmp_path / "faces.json"
+        cfg.write_text(config_text(
+            domain={"type": "box", "extents": extents, "shape": shape},
+            solve={"solver": solver}))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "axis 0" in err and "face weight" in err
+        assert not (tmp_path / "out").exists()
+
     def test_macro_step_overflow_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "steps.json"
         cfg.write_text(config_text(simulate=dict(

@@ -17,6 +17,7 @@ from eigenweight import (
     IterationLimit,
     NoPositivePart,
     NotAdmissible,
+    SingularSystem,
     ValidationError,
     ZeroWeightIntegral,
     assemble_stiffness,
@@ -99,11 +100,18 @@ def patchy(grid, seed, patch=4):
                    np.random.default_rng(seed).permutation(values)[block])
 
 
+def dct_operator(m):
+    """S = D U as the iterative path counts it, and U."""
+    up, down = spectral._dct_maps(m)
+    return spectral._Counted(lambda y: down(up(y)), m.grid.n_cells), up
+
+
 def shift_invert(m, tol=1e-12):
     """``_shift_invert`` from the loose Ritz value the iterative path
     starts it with."""
-    S, _ = spectral._dct_operator(m)
+    S, _ = dct_operator(m)
     theta, _ = spectral._arpack_top(S, spectral._SHIFT_TOL)
+    assert theta > 0
     return spectral._shift_invert(m, tol, theta)
 
 
@@ -208,6 +216,16 @@ class TestSolutionOperator:
         m = weights(interval64, random_admissible(rng, 64))
         out = solution_operator(m, np.zeros(64))
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
+
+    def test_top_eigenvalue_is_mu1(self, rng):
+        # T = U D and S = D U share their nonzero eigenvalues, so the top
+        # eigenvalue of the matrix of T on V_m is the mu1 the solver finds
+        grid = build_grid("rectangle", [2.0, 1.0], [8, 4])
+        m = weights(grid, random_admissible(rng, grid.n_cells))
+        T = np.column_stack([solution_operator(m, project_mean_zero(m, e))
+                             for e in np.eye(grid.n_cells)])
+        mu1 = principal_eigenpair(m).mu1
+        assert abs(np.linalg.eigvals(T).real.max() - mu1) <= 1e-13 * mu1
 
     def test_saddle_residual(self, rng):
         # K u - W(m f) must be parallel to the constraint vector W m
@@ -474,18 +492,18 @@ class TestDctKernel:
         # y or returned a view of it would corrupt the Krylov basis
         grid = build_grid(kind, extents, shape)
         m = weights(grid, random_admissible(rng, grid.n_cells))
-        S, to_vm = spectral._dct_operator(m)
+        S, up = dct_operator(m)
         n = grid.n_cells
         work = rng.standard_normal(3 * n)
         kept = work.copy()
         y = work[n:2 * n]
-        out, u = S.matvec(y), to_vm(y)
+        out, u = S.matvec(y), up(y)
         assert S.applies == 1
         assert work.tobytes() == kept.tobytes()
         assert not np.shares_memory(out, work)
         assert not np.shares_memory(u, work)
         # the bytes of the same steps, each on a new array, via scipy.fft
-        scale = spectral._mode_scale(grid, -0.5)
+        scale = spectral._mode_scale(grid)
         q = grid.cell_measure * m.values
         v = scipy.fft.idctn(y.reshape(scale.shape) * scale,
                             norm="ortho").ravel()
@@ -507,21 +525,20 @@ class TestDctKernel:
         grid = build_grid("rectangle", [2.0, 1.0], [8, 4])
         values = np.where(np.arange(32) < 8, 1.0, -2.0)
         cls = decreasing_rearrangement(values, grid)
-        constants = [dct_eigenvalues(grid), spectral._mode_scale(grid, -0.5),
-                     spectral._mode_scale(grid, -1.0),
+        constants = [dct_eigenvalues(grid), spectral._mode_scale(grid),
                      spectral._start_vector(grid.n_cells),
                      _dealt_values(cls, grid)]
         for constant in constants:
             assert not constant.flags.writeable
         # computed once: a second call returns the same array
-        assert spectral._mode_scale(grid, -0.5) is constants[1]
-        assert spectral._start_vector(grid.n_cells) is constants[3]
-        assert _dealt_values(cls, grid) is constants[4]
-        np.testing.assert_array_equal(constants[4], cls.cell_values(grid))
+        assert spectral._mode_scale(grid) is constants[1]
+        assert spectral._start_vector(grid.n_cells) is constants[2]
+        assert _dealt_values(cls, grid) is constants[3]
+        np.testing.assert_array_equal(constants[3], cls.cell_values(grid))
         # the optimizer's restart 0 starts from a writable copy of them
         start = _start_field(cls, grid, 0, 0)
         assert start.flags.writeable
-        assert not np.shares_memory(start, constants[4])
+        assert not np.shares_memory(start, constants[3])
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.lists(st.integers(2, 7), min_size=1, max_size=3),
@@ -576,7 +593,7 @@ class TestDctKernel:
         assert len({p.u.tobytes() for p in pairs}) == 1
         runs = []
         for _ in range(3):
-            S, _ = spectral._dct_operator(m)
+            S, _ = dct_operator(m)
             mu1, y = spectral._arpack_top(S, 1e-12)
             runs.append((repr(mu1), y.tobytes()))
         assert S.applies > 200
@@ -639,6 +656,23 @@ class TestDctKernel:
         assert pair.stats.path == "shift-invert"
         assert_matches_dense(pair, m)
 
+    def test_nonpositive_refinement_shifts_from_the_loose_ritz_value(
+            self, monkeypatch):
+        # a refinement that ends on theta <= 0 once exited 4
+        eigsh = spla.eigsh
+
+        def negative_refinement(A, *args, **kwargs):
+            vals, vecs = eigsh(A, *args, **kwargs)
+            return (-vals if "maxiter" in kwargs else vals), vecs
+
+        monkeypatch.setattr(spla, "eigsh", negative_refinement)
+        runs = arpack_runs(monkeypatch)
+        m = patchy(build_grid("rectangle", [2.0, 1.0], [64, 32]), 0, 8)
+        pair = principal_eigenpair(m, solver="iterative")
+        assert runs == ["S", "S", "shifted"]
+        assert pair.stats.path == "shift-invert"
+        assert_matches_dense(pair, m)
+
     def test_refined_pair_passes_the_residual_check(self, monkeypatch):
         # the refinement converges by ARPACK's own test, but its pair's
         # residual is 6.6e-3 theta and its lambda1 6.6e-3 off; inertia
@@ -691,6 +725,18 @@ class TestDctKernel:
 
 
 class TestShiftInvert:
+    def test_nonpositive_nu1_is_a_solver_error(self, monkeypatch):
+        m = rough_bang_bang(build_grid("rectangle", [2.0, 1.0], [16, 8]), 0)
+        eigsh = spla.eigsh
+
+        def negative_when_shifted(A, *args, **kwargs):
+            vals, vecs = eigsh(A, *args, **kwargs)
+            return (-vals if "M" in kwargs else vals), vecs
+
+        monkeypatch.setattr(spla, "eigsh", negative_when_shifted)
+        with pytest.raises(SingularSystem, match="nu1"):
+            shift_invert(m)
+
     @pytest.mark.parametrize("kind,extents,shape", ROUGH_GRIDS)
     def test_matches_dense_on_rough_weights(self, kind, extents, shape):
         grid = build_grid(kind, extents, shape)
