@@ -308,53 +308,44 @@ def oscillating_arrangement(cls: RearrangementClass, grid: Grid,
                             k: int) -> np.ndarray:
     """Tile the class profile periodically along the first axis.
 
-    Splits the first axis into k stripes of equal width and spreads each
-    value's cells across stripes as evenly as possible (nearest stripe to
-    the ideal fractional position, earliest stripe on ties); within a
-    stripe values are laid out sorted descending in flat order.  k = 1
-    reproduces the canonical arrangement; as k grows the field converges
-    weakly-* to the constant mean, driving mu1 to zero and lambda1 to
-    infinity.
-
-    The cells are dealt in class order, value by value and j = 0, 1, ...
-    within a value.  Cell j of a value with c cells aims at stripe
-    x_j = (j + 1/2) k / c - 1/2, whose nearest stripe never decreases in j,
-    so the cells aiming at one stripe form a contiguous run.  Each run
-    fills its stripe in bulk; only the cells that overflow a full stripe
-    search the open stripes one at a time, nearest to x_j first.
+    Splits the first axis into k stripes of equal width and deals the
+    sorted class cells to them by one sort.  Cell j of a value that starts
+    at position s of the sorted class and holds c cells aims at
+    (s + (j + 1/2) k / c) mod k; cells are ranked by aim, ties broken by
+    position mod k, and block i of n/k ranked cells becomes stripe i.  So
+    each value is spread evenly over the stripes, and when k divides every
+    value's cell count each stripe holds exactly c/k cells of every value.
+    A stripe holds its values descending, one x1-column after the next:
+    the cell at line l and offset o of the stripe holds its entry
+    o * lines + l.  k = 1 is the canonical arrangement in flat order.  As
+    k grows the field converges weakly-* to the constant mean, driving
+    mu1 to zero and lambda1 to infinity, while the stripes are wide enough:
+    a value that fills only part of a stripe's x1-column sits in its
+    lowest lines, so the quarter bang-bang on a 64x32 rectangle comes back
+    to the canonical arrangement at k = 64.
     """
     if k < 1 or grid.shape[0] % k != 0:
         raise IndivisibleStripes(
             f"stripe count {k} does not divide first-axis cells "
             f"{grid.shape[0]}")
-    n = grid.n_cells
-    period = grid.shape[0] // k
+    values = cls.cell_values(grid)
+    if k == 1:
+        return values
     counts = cls.cell_counts(grid)
-    value_of = np.repeat(np.arange(counts.size), counts)
-    j = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-    x = (j + 0.5) * k / np.repeat(counts, counts) - 0.5  # ideal stripe
-    stripe = np.clip(np.ceil(x - 0.5), 0, k - 1).astype(int)  # ties down
-    run_key = value_of * k + stripe  # nondecreasing: one run per key
-    starts = np.flatnonzero(np.r_[True, run_key[1:] != run_key[:-1]])
-    ends = np.r_[starts[1:], n]
-
-    remaining = np.full(k, n // k)
-    for a, b, s in zip(starts.tolist(), ends.tolist(),
-                       stripe[starts].tolist()):
-        take = min(b - a, int(remaining[s]))
-        remaining[s] -= take
-        for i in range(a + take, b):
-            open_ = np.flatnonzero(remaining)
-            s_open = open_[np.argmin(np.abs(open_ - x[i]))]
-            stripe[i] = s_open
-            remaining[s_open] -= 1
-
-    # cells per (stripe, value); the profile is sorted descending
-    table = np.bincount(stripe * counts.size + value_of,
-                        minlength=k * counts.size)
-    stripes = np.repeat(np.tile(cls.values, k), table)
-    out = np.empty(n)
-    # stripe s holds cells s * period ... (s + 1) * period - 1 of each line
-    grid.lines(out).reshape(-1, k, period)[...] = \
-        stripes.reshape(k, -1, period).transpose(1, 0, 2)
+    c = np.repeat(counts, counts)
+    start = np.repeat(np.cumsum(counts) - counts, counts)
+    position = np.arange(values.size)
+    # 2c times the aim is an integer, so equal aims compare equal
+    aim = (2 * c * start + (2 * (position - start) + 1) * k) \
+        % (2 * c * k) / (2 * c)
+    # a stable sort of the cells in (position mod k, position) order
+    # breaks ties of aim by position mod k
+    by_phase = position.reshape(-1, k).T.ravel()
+    ranked = by_phase[np.argsort(aim[by_phase], kind="stable")]
+    # positions ascending in a stripe: its values descending
+    stripes = np.sort(ranked.reshape(k, -1))
+    out = np.empty(values.size)
+    lines = values.size // grid.shape[0]
+    grid.lines(out).reshape(lines, k, -1)[...] = \
+        values[stripes].reshape(k, -1, lines).transpose(2, 0, 1)
     return out

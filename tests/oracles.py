@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's discretization: the arrangement
-oracle enumerates permutations, the stripe oracle searches every stripe
-for every cell, the restart oracle draws every start field up front
+oracle enumerates permutations, the stripe oracle ranks every cell by
+an exact rational aim, the restart oracle draws every start field up front
 from ``SeedSequence.spawn`` and runs every restart to its end in one
 process, solving every iterate afresh through its least-bytes axis
 reflection, the pencil oracle restricts the dense pencil through an
@@ -17,6 +17,7 @@ re-exported here.
 
 import dataclasses
 import hashlib
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -78,33 +79,36 @@ def copied_dense_eigenpair(m):
     return float(np.ldexp(pair.mu1, exp)), pair.u, pair.residual
 
 
-def oscillating_layout(values, counts, n1: int, n_cells: int, k: int):
-    """Brute-force stripe layout: every cell sorts all k stripes.
+def oscillating_layout(values, counts, shape, k: int):
+    """Brute-force stripe layout: every cell gets an exact aim.
 
-    Deals each value's cells to the stripe nearest its ideal fractional
-    position (earliest stripe on ties), skipping full stripes, then lays
-    each stripe out sorted descending.  Returns the field and whether some
-    cell found its nearest stripe full.
+    Cell j of the value at sorted position s with c cells aims at the
+    Fraction (s + (j + 1/2) k / c) mod k; Python's sort ranks the cells by
+    (aim, position mod k, position), block i of n/k ranked cells is stripe
+    i, sorted descending, and every cell of the grid looks its value up:
+    in flat order for k = 1, else as entry offset * lines + line of its
+    stripe.  Returns the field and whether some block boundary falls
+    between two cells of equal aim, where the tie-break decides.
     """
-    remaining = np.full(k, n_cells // k)
-    stripe_values = [[] for _ in range(k)]
-    hit_full = False
+    cells = []
     for value, count in zip(values, counts):
+        start = len(cells)
         for j in range(count):
-            x = (j + 0.5) * k / count - 0.5
-            candidates = sorted(range(k), key=lambda s: (abs(s - x), s))
-            hit_full |= bool(remaining[candidates[0]] == 0)
-            for s in candidates:
-                if remaining[s] > 0:
-                    stripe_values[s].append(value)
-                    remaining[s] -= 1
-                    break
-    out = np.empty(n_cells)
-    i1 = np.arange(n_cells) % n1
-    for s in range(k):
-        cells = np.flatnonzero(i1 // (n1 // k) == s)
-        out[cells] = np.sort(stripe_values[s])[::-1]
-    return out, hit_full
+            aim = (start + Fraction((2 * j + 1) * k, 2 * count)) % k
+            cells.append((aim, (start + j) % k, start + j, value))
+    ranked = sorted(cells)
+    n, n1 = len(cells), shape[0]
+    size, period, lines = n // k, n1 // k, n // n1
+    tied = any(ranked[b - 1][0] == ranked[b][0] for b in range(size, n, size))
+    stripes = [sorted((cell[3] for cell in ranked[i * size:(i + 1) * size]),
+                      reverse=True) for i in range(k)]
+    out = np.empty(n)
+    for p in range(n):
+        line, x1 = divmod(p, n1)
+        stripe, offset = divmod(x1, period)
+        out[p] = stripes[0][p] if k == 1 \
+            else stripes[stripe][offset * lines + line]
+    return out, tied
 
 
 def spawned_start_fields(cls, grid, restarts, seed) -> list:
