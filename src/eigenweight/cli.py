@@ -5,9 +5,13 @@ library and write result artifacts (JSON + CSV) into the output
 directory.  Identical config and seed produce byte-identical outputs up
 to the timestamp field inside JSON files.
 
-Exit codes: 0 ok, 2 parse error, 3 invalid input (``errors.InputError``),
-4 solver error (``errors.SolverError``), 5 iteration limit: an optimize at
-``max_iters`` writes partial output, a stopped ARPACK run writes nothing.
+Exit codes: 0 ok, 2 parse error, 3 invalid input (``errors.InputError``,
+or an output directory that cannot be made), 4 solver error
+(``errors.SolverError``), 5 iteration limit.  Each command computes every
+result before it writes its first file, so a failed command writes
+nothing, except that an optimize at ``max_iters`` writes its partial
+result and a verify whose check fails writes its full report; a stopped
+ARPACK run writes nothing.
 """
 
 from __future__ import annotations
@@ -100,15 +104,22 @@ class RunConfig:
     output_dir: str = "out"
 
 
-def _object(spec, context: str) -> dict:
-    if not isinstance(spec, dict):
-        raise errors.ValidationError(f"{context} must be an object, "
-                                     f"got {spec!r}")
-    return spec
+#: the JSON kind each Python type stands for in a type error's message
+_KINDS = {dict: "an object", list: "a list", bool: "true or false",
+          str: "a string"}
+
+
+def _typed(value, key: str, kind: type):
+    """``value`` if it is a ``kind``, or a ValidationError naming the key
+    and the JSON kind."""
+    if not isinstance(value, kind):
+        raise errors.ValidationError(
+            f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _require(mapping: dict, key: str, context: str):
-    if key not in _object(mapping, context):
+    if key not in _typed(mapping, context, dict):
         raise errors.ParseError(f"missing key {key!r} in {context}")
     return mapping[key]
 
@@ -159,19 +170,6 @@ def _choice(value, key: str, allowed: tuple):
     return value
 
 
-def _list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise errors.ValidationError(f"{key} must be a list, got {value!r}")
-    return value
-
-
-def _flag(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise errors.ValidationError(
-            f"{key} must be true or false, got {value!r}")
-    return value
-
-
 def _numbers(values: list, key: str) -> np.ndarray:
     """The list as a float array, or a ValidationError naming the config
     key at the first entry that is not a number.
@@ -197,7 +195,7 @@ def _v0(value, key: str):
 
 
 def _stripes(value, key: str) -> list:
-    return [_integer(k, key, 1) for k in _list(value, key)]
+    return [_integer(k, key, 1) for k in _typed(value, key, list)]
 
 
 #: option section -> key -> (default, converter(value, "section.key"))
@@ -206,7 +204,7 @@ _OPTIONS = {
         "solver": ("dense", partial(_choice, allowed=SOLVERS)),
         "tol": (1e-12, _tolerance),
         "spectrum": (0, partial(_integer, minimum=0)),
-        "dump_stiffness": (False, _flag),
+        "dump_stiffness": (False, partial(_typed, kind=bool)),
     },
     "optimize": {
         "solver": ("dense", partial(_choice, allowed=SOLVERS)),
@@ -240,7 +238,7 @@ _WEIGHT_KEYS = {
 
 def _closed(spec, context: str, allowed) -> dict:
     """``spec``, checked to be an object with no key outside ``allowed``."""
-    unknown = sorted(set(_object(spec, context)) - set(allowed))
+    unknown = sorted(set(_typed(spec, context, dict)) - set(allowed))
     if unknown:
         raise errors.ValidationError(
             f"unknown key {unknown[0]!r} in {context}; allowed keys: "
@@ -256,17 +254,10 @@ def _options(doc: dict, name: str) -> dict:
             for key, (default, convert) in table.items()}
 
 
-def _string(value, key: str) -> str:
-    """``value`` if it is a string, or a ValidationError naming the key."""
-    if not isinstance(value, str):
-        raise errors.ValidationError(f"{key} must be a string, got {value!r}")
-    return value
-
-
 def _read_profile(path) -> list:
     """The (value, measure) rows of a profile CSV, or a ValidationError
     naming the path."""
-    _string(path, "weight.path")
+    _typed(path, "weight.path", str)
     try:
         return read_profile_csv(path)
     except (OSError, ValueError, errors.ParseError) as exc:
@@ -299,8 +290,8 @@ def _weight_values(weight, grid: Grid) -> np.ndarray:
         values[:n_pos] = pos
         return values
     if kind == "explicit":
-        values = _numbers(_list(_require(weight, "values", "weight"),
-                                "weight.values"), "weight.values")
+        values = _numbers(_typed(_require(weight, "values", "weight"),
+                                 "weight.values", list), "weight.values")
         if not np.isfinite(values).all():
             raise errors.ValidationError(
                 "explicit weight values must be finite")
@@ -356,7 +347,7 @@ def parse_config(text: str) -> RunConfig:
         grid=grid,
         values=_weight_values(_require(doc, "weight", "config"), grid),
         **{name: _options(doc, name) for name in _OPTIONS},
-        output_dir=_string(doc.get("output_dir", "out"), "output_dir"),
+        output_dir=_typed(doc.get("output_dir", "out"), "output_dir", str),
     )
 
 
@@ -365,15 +356,16 @@ def _cmd_solve(config: RunConfig, out: Path) -> int:
     m = weight_field(grid, config.values)
     opts = config.solve
     pair = principal_eigenpair(m, solver=opts["solver"], tol=opts["tol"])
-    payload = eigenpair_payload(pair)
-    payload["n_cells"] = grid.n_cells
-    write_json(out / "eigenpair.json", payload)
+    spectrum = signed_spectrum(m, opts["spectrum"]) \
+        if opts["spectrum"] > 0 else None
+    stiffness = _assemble_stiffness(grid) if opts["dump_stiffness"] else None
+    write_json(out / "eigenpair.json",
+               {**eigenpair_payload(pair), "n_cells": grid.n_cells})
     write_field_csv(out / "u.csv", pair.u, grid)
-    if opts["dump_stiffness"]:
-        write_stiffness_coo(out / "stiffness.txt", _assemble_stiffness(grid))
-    if opts["spectrum"] > 0:
-        write_spectrum_csv(out / "spectrum.csv",
-                           signed_spectrum(m, opts["spectrum"]))
+    if stiffness is not None:
+        write_stiffness_coo(out / "stiffness.txt", stiffness)
+    if spectrum is not None:
+        write_spectrum_csv(out / "spectrum.csv", spectrum)
     return EXIT_OK
 
 
@@ -400,12 +392,13 @@ def _cmd_rearrange(config: RunConfig, out: Path) -> int:
     grid, values = config.grid, config.values
     direction = config.rearrange["direction"]
     cls = decreasing_rearrangement(values, grid)
+    monotone = monotone_x1_rearrangement(values, grid, direction)
+    stripes = {k: oscillating_arrangement(cls, grid, k)
+               for k in config.rearrange["stripes"]}
     write_profile_csv(out / "profile.csv", cls)
-    write_field_csv(out / "monotone_m.csv",
-                    monotone_x1_rearrangement(values, grid, direction), grid)
-    for k in config.rearrange["stripes"]:
-        write_field_csv(out / f"oscillating_k{k}.csv",
-                        oscillating_arrangement(cls, grid, k), grid)
+    write_field_csv(out / "monotone_m.csv", monotone, grid)
+    for k, stripe in stripes.items():
+        write_field_csv(out / f"oscillating_k{k}.csv", stripe, grid)
     return EXIT_OK
 
 
@@ -438,6 +431,18 @@ def _cmd_verify(out: Path, seed: int, quiet: bool) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_SOLVER
 
 
+def _out_dir(path, key: str) -> Path:
+    """``path``, made a directory with its parents, or a ValidationError
+    naming the path."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise errors.ValidationError(
+            f"{key} {str(path)!r} is not a directory that can be made: "
+            f"{exc}") from exc
+    return Path(path)
+
+
 def execute(config: RunConfig | None, command: str, out_dir=None,
             seed_override=None, quiet: bool = False) -> int:
     """Dispatch one subcommand; returns the process exit code.
@@ -447,9 +452,9 @@ def execute(config: RunConfig | None, command: str, out_dir=None,
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out = _out_dir(out_dir, "--out") if out_dir is not None \
+            else _out_dir(config.output_dir, "output_dir")
         if command == "solve":
             return _cmd_solve(config, out)
         if command == "optimize":

@@ -2,15 +2,19 @@
 
 Field CSVs carry a header comment with the grid layout and one row per
 first-axis line, so 2D files open directly as heatmap matrices.  Floats
-are written with ``repr`` of the Python float for exact round-trips.  One
-row formatter, ``_csv_rows``, writes the rows of every field and
-trajectory CSV, so each file has the bytes a per-value ``repr(float(v))``
-would give, whichever way the formatter converts the array.
+are written with ``repr`` of the Python float for exact round-trips.
+Every float CSV (field, profile and trajectory) goes through one writer,
+``_write_csv``, which formats each distinct bit pattern of the array
+once, so each file has the bytes a per-value ``repr(float(v))`` would
+give and 0.0 and -0.0 keep their own text.  The JSON payloads are read
+off the result objects' dataclass fields, so a field added to
+``SolveStats`` reaches ``eigenpair.json`` with no edit here.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from datetime import datetime, timezone
 from itertools import zip_longest
 
@@ -23,40 +27,30 @@ from .optimize import OptimizationResult
 from .rearrange import RearrangementClass
 from .spectral import EigenPair, SignedSpectrum
 
-#: an array with at most this share of distinct values is written from a
-#: table that formats each distinct value once
-TABLE_SHARE = 1 / 8
 
-
-def _csv_rows(array: np.ndarray):
-    """One comma-separated, newline-terminated text row per row of a 2-D
+def _write_csv(path, header: str, array) -> None:
+    """Write a header line, then one comma-separated row per row of a 2-D
     float array, each entry written as ``repr`` of the Python float.
 
-    Weights, minimizers and stripe fields hold a handful of values, and
-    for them each distinct value is formatted once.  Distinct values are
-    told apart by their bit patterns, so 0.0 and -0.0 keep their own text.
+    Each distinct value is formatted once, told apart by its bit pattern.
     """
     array = np.ascontiguousarray(array, dtype=float)
     bits, inverse = np.unique(array.ravel().view(np.uint64),
                               return_inverse=True)
-    if bits.size > TABLE_SHARE * array.size:
-        for row in array:
-            yield ",".join(map(repr, row.tolist())) + "\n"
-        return
     table = np.array([repr(v) for v in bits.view(np.float64).tolist()],
                      dtype=object)
-    for row in table[inverse.reshape(array.shape)]:
-        yield ",".join(row.tolist()) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row.tolist()) + "\n"
+                      for row in table[inverse.reshape(array.shape)])
 
 
 def write_field_csv(path, values: np.ndarray, grid: Grid) -> None:
     """Write a cell field, one row per first-axis line."""
-    lines = grid.lines(values)
     shape = ",".join(str(n) for n in grid.shape)
     extents = ",".join(repr(float(L)) for L in grid.extents)
-    with open(path, "w") as fh:
-        fh.write(f"# dim={grid.dim} shape={shape} extents={extents}\n")
-        fh.writelines(_csv_rows(lines))
+    _write_csv(path, f"# dim={grid.dim} shape={shape} extents={extents}",
+               grid.lines(values))
 
 
 def read_field_csv(path):
@@ -87,10 +81,7 @@ def read_field_csv(path):
 
 
 def write_profile_csv(path, cls: RearrangementClass) -> None:
-    with open(path, "w") as fh:
-        fh.write("value,measure\n")
-        for value, measure in cls.profile:
-            fh.write(f"{value!r},{measure!r}\n")
+    _write_csv(path, "value,measure", cls.profile)
 
 
 def read_profile_csv(path):
@@ -116,10 +107,8 @@ def read_profile_csv(path):
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    with open(path, "w") as fh:
-        fh.write("time,total_mass,min_v,max_v\n")
-        fh.writelines(_csv_rows(np.column_stack(
-            (traj.times, traj.total_mass, traj.min_v, traj.max_v))))
+    _write_csv(path, "time,total_mass,min_v,max_v", np.column_stack(
+        (traj.times, traj.total_mass, traj.min_v, traj.max_v)))
 
 
 def write_stiffness_coo(path, entries) -> None:
@@ -154,15 +143,8 @@ def write_json(path, payload: dict) -> None:
 
 
 def eigenpair_payload(pair: EigenPair) -> dict:
-    return {
-        "mu1": pair.mu1,
-        "lambda1": pair.lambda1,
-        "residual": pair.residual,
-        "path": pair.stats.path,
-        "applies": pair.stats.applies,
-        "sigma": pair.stats.sigma,
-        "halvings": pair.stats.halvings,
-    }
+    return {"mu1": pair.mu1, "lambda1": pair.lambda1,
+            "residual": pair.residual, **asdict(pair.stats)}
 
 
 def optimization_payload(result: OptimizationResult) -> dict:
@@ -174,10 +156,6 @@ def optimization_payload(result: OptimizationResult) -> dict:
         "restarts_used": result.restarts_used,
         "solves": result.solves,
         "comonotone_violations": result.comonotone_violations,
-        "monotone_x1": {
-            "classification": result.monotone_x1.classification,
-            "per_line": list(result.monotone_x1.per_line),
-        },
-        "trace": [[it, mu, lam, changed]
-                  for it, mu, lam, changed in result.trace],
+        "monotone_x1": asdict(result.monotone_x1),
+        "trace": result.trace,
     }

@@ -183,6 +183,14 @@ def per_value_field_csv(path, values, grid) -> None:
             fh.write(",".join(repr(float(v)) for v in line) + "\n")
 
 
+def per_value_profile_csv(path, cls) -> None:
+    """A profile CSV written one (value, measure) pair at a time."""
+    with open(path, "w") as fh:
+        fh.write("value,measure\n")
+        for v, s in cls.profile:
+            fh.write(f"{v!r},{s!r}\n")
+
+
 def per_value_trajectory_csv(path, traj) -> None:
     """A trajectory CSV written one value at a time."""
     with open(path, "w") as fh:

@@ -285,6 +285,40 @@ class TestMainExitCodes:
             f"{output_dir!r}\n")
         assert sorted(os.listdir(tmp_path)) == ["solve.json"]
 
+    @pytest.mark.parametrize("command,section,code,message", [
+        ("solve", {"solve": {"solver": "iterative", "spectrum": 3}}, 4,
+         "solver error: 8192 cells exceeds the dense limit of 6000\n"),
+        ("rearrange", {"rearrange": {"stripes": [2, 3]}}, 3,
+         "validation error: stripe count 3 does not divide first-axis "
+         "cells 128\n"),
+    ])
+    def test_failed_command_writes_nothing(self, tmp_path, capsys, command,
+                                           section, code, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(config_text(domain={
+            "type": "rectangle", "extents": [2.0, 1.0], "shape": [128, 64]},
+            **section))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) \
+            == code
+        assert capsys.readouterr().err == message
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("key", ["--out", "output_dir"])
+    def test_out_dir_that_cannot_be_made_exit_3(self, tmp_path, capsys,
+                                                monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("a file\n")
+        path = "taken" if key == "--out" else os.path.join("taken", "out")
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(config_text(output_dir=path))
+        argv = ["solve", "--config", str(cfg)]
+        assert main(argv + ["--out", path] if key == "--out" else argv) == 3
+        assert capsys.readouterr().err.startswith(
+            f"validation error: {key} {path!r} is not a directory that can "
+            f"be made: ")
+        assert sorted(os.listdir(tmp_path)) == ["solve.json", "taken"]
+
     def test_solver_family_exit_3_on_inadmissible_explicit(self, tmp_path):
         # explicit all-negative weight passes parsing, fails admissibility
         doc = json.loads(config_text(

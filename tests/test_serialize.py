@@ -1,9 +1,14 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenweight import (
+    EigenPair,
+    RearrangementClass,
+    SolveStats,
     assemble_stiffness,
     build_grid,
     decreasing_rearrangement,
@@ -11,6 +16,7 @@ from eigenweight import (
     weight_field,
 )
 from eigenweight.serialize import (
+    eigenpair_payload,
     read_field_csv,
     read_profile_csv,
     write_field_csv,
@@ -18,7 +24,11 @@ from eigenweight.serialize import (
     write_stiffness_coo,
     write_trajectory_csv,
 )
-from oracles import per_value_field_csv, per_value_trajectory_csv
+from oracles import (
+    per_value_field_csv,
+    per_value_profile_csv,
+    per_value_trajectory_csv,
+)
 
 #: binary exponents of subnormals and of values near 1e-300 and 1e+300
 EXTREME_EXPONENTS = np.r_[-1074:-1040, -1000:-990, 990:1024]
@@ -68,6 +78,45 @@ def test_field_csv_bytes_match_per_value_writer(csv_dir, shape, family,
     per_value_field_csv(csv_dir / "oracle.csv", field, grid)
     assert (csv_dir / "fast.csv").read_bytes() == \
         (csv_dir / "oracle.csv").read_bytes()
+
+
+#: signed zeros, the extreme subnormals and normals, and values next to
+#: the float range's ends
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -1.7976931348623157e308, 1.7976931348623157e308, 1e308)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(["normal", "signed zeros", "extremes",
+                               "integral"]),
+       size=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_profile_csv_bytes_match_per_value_writer(csv_dir, family, size,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    values = [*EDGE_VALUES, *family_values(family, rng, size).tolist()]
+    measures = np.ldexp(rng.uniform(0.5, 1.0, len(values)),
+                        rng.choice(EXTREME_EXPONENTS, len(values))).tolist()
+    cls = RearrangementClass(profile=tuple(zip(values, measures)),
+                             total_measure=1.0, source_integral=-1.0)
+    write_profile_csv(csv_dir / "fast.csv", cls)
+    per_value_profile_csv(csv_dir / "oracle.csv", cls)
+    assert (csv_dir / "fast.csv").read_bytes() == \
+        (csv_dir / "oracle.csv").read_bytes()
+
+
+def test_eigenpair_payload_carries_every_stats_field():
+    @dataclass(frozen=True)
+    class BracketStats(SolveStats):
+        bracket: tuple = ()
+
+    stats = BracketStats("shift-invert", applies=9, sigma=0.5, halvings=1,
+                         bracket=(2.0, 2.5))
+    pair = EigenPair(mu1=0.5, lambda1=2.0, u=np.ones(4), residual=1e-14,
+                     stats=stats)
+    assert eigenpair_payload(pair) == {
+        "mu1": 0.5, "lambda1": 2.0, "residual": 1e-14,
+        "path": "shift-invert", "applies": 9, "sigma": 0.5, "halvings": 1,
+        "bracket": (2.0, 2.5)}
 
 
 def test_trajectory_csv_bytes_match_per_value_writer(tmp_path):
