@@ -27,7 +27,6 @@ import numpy as np
 
 from . import errors
 from .grid import Grid, build_grid
-from .grid import assemble_stiffness as _assemble_stiffness
 from .logistic import simulate_logistic
 from .optimize import minimize_lambda1, oscillating_arrangement
 from .rearrange import (
@@ -358,7 +357,7 @@ def _cmd_solve(config: RunConfig, out: Path) -> int:
     pair = principal_eigenpair(m, solver=opts["solver"], tol=opts["tol"])
     spectrum = signed_spectrum(m, opts["spectrum"]) \
         if opts["spectrum"] > 0 else None
-    stiffness = _assemble_stiffness(grid) if opts["dump_stiffness"] else None
+    stiffness = grid.stiffness if opts["dump_stiffness"] else None
     write_json(out / "eigenpair.json",
                {**eigenpair_payload(pair), "n_cells": grid.n_cells})
     write_field_csv(out / "u.csv", pair.u, grid)

@@ -13,18 +13,23 @@ module sees first-axis lines through it.
 The stiffness matrix K is the Kronecker sum of the per-axis 1D Neumann
 Laplacians.  On a uniform grid the orthonormal DCT-II diagonalizes each of
 them, hence K, with the per-axis eigenvalues summed (``dct_eigenvalues``);
-the spectral and logistic solvers work in that basis.  ``to_dct`` and
-``from_dct`` run pocketfft through ``scipy.fftpack``: the bytes of
-``scipy.fft`` without its dispatch layer, a sixth of a ``scipy.fft`` call at
-2,048 cells.  They transform in place, consuming their argument: a caller
-that needs it afterwards passes a copy.
+the spectral and logistic solvers work in that basis.  K, its spectrum and
+the spectrum's inverse square root depend on the domain alone, so the grid
+owns them: each is built on first read of ``Grid.stiffness``,
+``Grid.spectrum`` or ``Grid.mode_scale``, read-only, and lives exactly as
+long as its grid.
+
+``to_dct`` and ``from_dct`` run pocketfft through ``scipy.fftpack``: the
+bytes of ``scipy.fft`` without its dispatch layer, a sixth of a
+``scipy.fft`` call at 2,048 cells.  They transform in place, consuming
+their argument: a caller that needs it afterwards passes a copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.fftpack
@@ -57,6 +62,14 @@ class Grid:
         Lebesgue measure of every cell, the product of the spacings.  One
         measure for all cells is what makes a rearrangement class a
         multiset of cell values and the DCT diagonalize the stiffness.
+    stiffness : scipy.sparse.csr_matrix
+        ``assemble_stiffness(grid)``, built on first read; its arrays are
+        read-only.
+    spectrum : np.ndarray
+        ``dct_eigenvalues(grid)``, built on first read, read-only.
+    mode_scale : np.ndarray
+        Lambda^{-1/2} on the non-constant DCT modes and 0 on the constant
+        one, layout shape[::-1]; built on first read, read-only.
     """
 
     dim: int
@@ -84,6 +97,24 @@ class Grid:
         """Midpoints of all cells as an (n_cells, dim) array in flat order."""
         idx = np.indices(self.shape[::-1]).reshape(self.dim, -1)[::-1]
         return (idx.T + 0.5) * np.array(self.spacing)
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        K = assemble_stiffness(self)
+        for array in (K.data, K.indices, K.indptr):
+            array.setflags(write=False)
+        return K
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return dct_eigenvalues(self)
+
+    @cached_property
+    def mode_scale(self) -> np.ndarray:
+        out = np.zeros_like(self.spectrum)
+        out.flat[1:] = self.spectrum.flat[1:] ** -0.5
+        out.setflags(write=False)
+        return out
 
 
 def build_grid(kind: str, extents, shape) -> Grid:
@@ -141,7 +172,7 @@ def build_grid(kind: str, extents, shape) -> Grid:
             raise InvalidSpec(
                 f"extents {extents} on shape {shape} give a {name} of "
                 f"{value!r}, which must be finite and positive")
-    dct_eigenvalues(grid)
+    grid.spectrum
     return grid
 
 
@@ -154,7 +185,6 @@ def _floats(values, name: str) -> tuple:
     return tuple(float(v) for v in entries)
 
 
-@lru_cache(maxsize=32)
 def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
     """Assemble the Neumann stiffness matrix K of the grid.
 
@@ -164,6 +194,7 @@ def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
     ``f @ K @ f`` discretizes the Dirichlet energy of the piecewise field
     f.  K is symmetric with zero row sums (the discrete Neumann condition)
     and positive semidefinite; f^T K f = 0 exactly when f is constant.
+    Each call builds a new K; ``grid.stiffness`` is the grid's own.
     """
     K = sp.csr_matrix((1, 1))
     for n, h in zip(grid.shape, grid.spacing):
@@ -174,7 +205,6 @@ def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
     return K
 
 
-@lru_cache(maxsize=32)
 def dct_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues of the stiffness matrix in the orthonormal DCT-II basis.
 
@@ -186,6 +216,7 @@ def dct_eigenvalues(grid: Grid) -> np.ndarray:
     layout of ``to_dct``); entry [0, ..., 0] is the constant mode, exactly 0.
     A nonconstant axis eigenvalue of 0 or inf raises InvalidSpec; the sums
     stay finite, as two face weights multiply to 1 or to a squared spacing.
+    Each call builds a new array; ``grid.spectrum`` is the grid's own.
     """
     lam = np.zeros(grid.shape[::-1])
     for a, n in enumerate(grid.shape):

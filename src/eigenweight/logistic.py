@@ -2,7 +2,7 @@
 
 Time-steps  v_t = div(grad v) + gamma * v * (m - v)  with an IMEX scheme:
 diffusion implicit (unconditionally stable, mass-conserving when gamma is
-zero; W/dt + K is diagonal in the DCT basis of ``grid.dct_eigenvalues``,
+zero; W/dt + K is diagonal in the DCT basis, K's part ``Grid.spectrum``,
 so each solve is a pointwise division between two transforms) and the
 logistic reaction explicit under an adaptive substep guard.
 The long-run classification implements the persistence criterion: the
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (InvalidSpec, NegativeInitial, UnstableStep,
                      ValidationError)
-from .grid import as_field, dct_eigenvalues, from_dct, to_dct
+from .grid import as_field, from_dct, to_dct
 from .spectral import WeightField
 
 #: persistence threshold: final mass fraction of |domain| * max(m)+
@@ -125,7 +125,7 @@ def simulate_logistic(m: WeightField, gamma: float, v0, dt: float,
         dt_sub = step_dt / n_sub
         substeps_taken += n_sub
         lengths.add(dt_sub)
-        symbol = w / dt_sub + dct_eigenvalues(grid)
+        symbol = w / dt_sub + grid.spectrum
         for _ in range(n_sub):
             try:  # not checked up front: a short last step shrinks dt_sub
                 with np.errstate(over="raise"):

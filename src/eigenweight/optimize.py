@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotAdmissibleClass, IndivisibleStripes
-from .grid import Grid, as_field, assemble_stiffness, dct_eigenvalues
-from .rearrange import (RearrangementClass, _dealt_values,
-                        comonotone_arrangement)
+from .grid import Grid, as_field
+from .rearrange import RearrangementClass, comonotone_arrangement
 from .spectral import (EigenPair, _one_blas_thread, principal_eigenpair,
                        weight_field)
 
@@ -127,9 +126,9 @@ def _start_field(cls: RearrangementClass, grid: Grid, restart: int,
     """Restart 0 is the canonical arrangement (sorted values in flat cell
     order); restart i > 0 is a permutation drawn from child i - 1 of the
     seed's splittable generator, made only when the restart runs."""
-    canonical = _dealt_values(cls, grid)
+    canonical = cls.cell_values(grid)
     if restart == 0:
-        return canonical.copy()
+        return canonical
     child = np.random.SeedSequence(seed, spawn_key=(restart - 1,))
     return np.random.default_rng(child).permutation(canonical)
 
@@ -201,11 +200,15 @@ def _worker(conn, args: tuple) -> None:
     """A forked worker: answers each restart index the parent sends
     through the duplex pipe ``conn`` with that restart's ``_run_restart``,
     or with an error.  Its one memo lasts the call and holds only the
-    pairs its own restarts solved."""
+    pairs its own restarts solved.  It returns when the parent is gone:
+    the worker holds no parent end of any pipe, so the parent's death
+    closes ``conn``."""
     memo = {}
     try:
         while True:
             conn.send(_run_restart(conn.recv(), *args, memo))
+    except (EOFError, ConnectionError):
+        return
     except Exception as exc:
         conn.send(exc)
 
@@ -219,6 +222,7 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
     reply is a run and its solved digests, so the only pair to cross a
     pipe is each run's own."""
     import multiprocessing.connection  # only a run that forks loads it
+    import multiprocessing.util
     try:  # forked, not spawned: a spawned worker's imports outlast a restart
         context = multiprocessing.get_context("fork")
     except ValueError:
@@ -227,6 +231,8 @@ def _parallel_runs(workers: int, restarts: int, args: tuple):
     try:
         for restart in range(workers):  # a first restart each
             conn, theirs = context.Pipe()
+            # closed in every worker forked from here on, this one's too
+            multiprocessing.util.register_after_fork(conn, type(conn).close)
             processes.append(context.Process(target=_worker,
                                              args=(theirs, args)))
             processes[-1].start()
@@ -283,9 +289,9 @@ def minimize_lambda1(cls: RearrangementClass, grid: Grid,
 
     args = (cls, grid, seed, max_iters, tol, solver)
     workers = min(restarts, _usable_cpus())
-    # the grid's constants, built before the workers fork to be inherited
-    assemble_stiffness(grid)
-    dct_eigenvalues(grid)
+    # the stiffness, built before the workers fork to be inherited; the
+    # spectrum was built with the grid
+    grid.stiffness
     # one BLAS thread wherever restarts run: the CPU count changes no byte
     with _one_blas_thread() if restarts > 1 else nullcontext():
         memo = {}

@@ -9,7 +9,6 @@ relation compares prefix sums of sorted values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -135,14 +134,6 @@ def check_majorization(g, f, grid: Grid) -> MajorizationReport:
     )
 
 
-@lru_cache(maxsize=32)
-def _dealt_values(cls: RearrangementClass, grid: Grid) -> np.ndarray:
-    """``cls.cell_values(grid)`` for every restart and sweep, read-only."""
-    values = cls.cell_values(grid)
-    values.setflags(write=False)
-    return values
-
-
 def comonotone_arrangement(cls: RearrangementClass, u, grid: Grid) -> np.ndarray:
     """The class member maximizing the u-weighted integral.
 
@@ -152,10 +143,9 @@ def comonotone_arrangement(cls: RearrangementClass, u, grid: Grid) -> np.ndarray
     Hardy-Littlewood inequality.
     """
     u = as_field(grid, u)
-    values = _dealt_values(cls, grid)
     order = np.argsort(-u, kind="stable")
     out = np.empty(grid.n_cells)
-    out[order] = values
+    out[order] = cls.cell_values(grid)
     return out
 
 

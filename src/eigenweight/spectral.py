@@ -78,8 +78,6 @@ from .errors import (
 from .grid import (
     Grid,
     as_field,
-    assemble_stiffness,
-    dct_eigenvalues,
     from_dct,
     integrate,
     to_dct,
@@ -255,16 +253,6 @@ def project_mean_zero(m: WeightField, f) -> np.ndarray:
     return f - _dot(q, f) / m.integral
 
 
-@lru_cache(maxsize=32)
-def _mode_scale(grid: Grid) -> np.ndarray:
-    """Lambda^{-1/2} on the non-constant DCT modes; 0 on the constant."""
-    lam = dct_eigenvalues(grid)
-    out = np.zeros_like(lam)
-    out.flat[1:] = lam.flat[1:] ** -0.5
-    out.setflags(write=False)
-    return out
-
-
 def _dct_maps(m: WeightField):
     """(up, down): U and D of the module docstring.
 
@@ -274,7 +262,7 @@ def _dct_maps(m: WeightField):
     """
     grid = m.grid
     q = _weighted_values(m)
-    scale = _mode_scale(grid)
+    scale = grid.mode_scale
 
     def up(y):
         u = from_dct(grid, y.reshape(scale.shape) * scale)
@@ -322,7 +310,7 @@ def _dense_pencil(m: WeightField):
     if n > DENSE_CELL_LIMIT:
         raise TooLarge(
             f"{n} cells exceeds the dense limit of {DENSE_CELL_LIMIT}")
-    K = assemble_stiffness(m.grid)
+    K = m.grid.stiffness
     q = _weighted_values(m)
     # the reflector of q / 2^e is H itself; the division is exact, and
     # v^T v neither overflows nor underflows at any cell measure
@@ -369,9 +357,9 @@ def _finalize_eigenpair(m: WeightField, mu1: float, u: np.ndarray,
     not ``_ROUNDING_MARGIN`` times above the pencil's rounding level is
     lost to rounding; a residual cannot tell, since accurate solves on
     cells of aspect ratio 10^6 report residuals near 1."""
-    K, q = assemble_stiffness(m.grid), _weighted_values(m)
+    K, q = m.grid.stiffness, _weighted_values(m)
     level = (_ROUNDING_MARGIN * np.finfo(float).eps * np.abs(q).max()
-             / dct_eigenvalues(m.grid).flat[1:].min())
+             / m.grid.spectrum.flat[1:].min())
     if not mu1 > level:
         raise SingularSystem(f"the solver's mu1 = {mu1:g} is not above "
                              f"{level:g}: the weight's positive part is lost "
@@ -535,7 +523,7 @@ def _shifted_lu(m: WeightField, sigma: float):
     the negative pivots count the pencil eigenvalues in (0, sigma).  The
     count is None when SuperLU pivoted off the diagonal.
     """
-    B = (assemble_stiffness(m.grid)
+    B = (m.grid.stiffness
          - sigma * scipy.sparse.diags(_weighted_values(m))).tocsc()
     lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                    options={"SymmetricMode": True})
@@ -640,7 +628,7 @@ def rayleigh_quotient(m: WeightField, f) -> float:
     roundoff scale count as constant).
     """
     f = as_field(m.grid, f)
-    K = assemble_stiffness(m.grid)
+    K = m.grid.stiffness
     den = _dot(f, K @ f)
     energy_floor = 1e-14 * float(np.abs(K.diagonal()).max()) * _dot(f, f)
     if den <= energy_floor:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import assemble_stiffness, build_grid
+from .grid import build_grid
 from .logistic import simulate_logistic
 from .optimize import minimize_lambda1, oscillating_arrangement
 from .rearrange import (
@@ -164,7 +164,7 @@ def check_criterion_1_eigenvalue_oracle(rng) -> str:
 def check_criterion_2_identity_suite(rng) -> str:
     """Projection, solution operator and eigenpair identities, 200 trials."""
     grid = build_grid("interval", [1.0], [64])
-    K = assemble_stiffness(grid)
+    K = grid.stiffness
     w = grid.cell_measure
     probes = rng.spawn(1)[0]  # leaves the draws from rng as they were
     defect = _Defects()
@@ -334,7 +334,7 @@ def check_criterion_8_oscillation(rng) -> str:
 def check_criterion_9_rearrangement(rng) -> str:
     """Rearrangement inequalities and majorization, 1000 trials."""
     grid = build_grid("interval", [1.0], [64])
-    K = assemble_stiffness(grid)
+    K = grid.stiffness
     w = grid.cell_measure
     defect = _Defects()
     for _ in range(1000):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -9,7 +12,12 @@ from eigenweight import (
     LengthMismatch,
     assemble_stiffness,
     build_grid,
+    decreasing_rearrangement,
     integrate,
+    minimize_lambda1,
+    principal_eigenpair,
+    simulate_logistic,
+    weight_field,
 )
 from eigenweight.grid import MAX_CELLS, from_dct, to_dct
 
@@ -237,3 +245,43 @@ def test_transforms_match_scipy_fft_bytes_in_place(kind, extents, shape, rng):
     u = from_dct(grid, c)
     assert u.shape == (grid.n_cells,)
     assert np.shares_memory(u, f) and u.tobytes() == expected.tobytes()
+
+
+def _quarter_weight(grid):
+    """+1 on the first quarter of the cells in flat order, -2 elsewhere."""
+    return np.where(np.arange(grid.n_cells) < grid.n_cells // 4, 1.0, -2.0)
+
+
+def _minimize_on(cpus):
+    def run(grid, monkeypatch):
+        monkeypatch.setattr("eigenweight.optimize._usable_cpus",
+                            lambda: cpus)
+        cls = decreasing_rearrangement(_quarter_weight(grid), grid)
+        return minimize_lambda1(cls, grid, restarts=4, solver="iterative")
+    return run
+
+
+#: work on a grid after which nothing may hold the grid
+GRID_USES = {
+    "dense solve": lambda grid, _: principal_eigenpair(
+        weight_field(grid, _quarter_weight(grid)), solver="dense"),
+    "iterative solve": lambda grid, _: principal_eigenpair(
+        weight_field(grid, _quarter_weight(grid)), solver="iterative"),
+    "minimize inline": _minimize_on(1),
+    "minimize at two workers": _minimize_on(2),
+    "simulate_logistic": lambda grid, _: simulate_logistic(
+        weight_field(grid, _quarter_weight(grid)), 40.0,
+        np.ones(grid.n_cells), dt=0.01, t_end=0.05),
+}
+
+
+@pytest.mark.parametrize("use", list(GRID_USES))
+def test_a_grid_dies_with_its_last_reference(use, monkeypatch):
+    # the grid owns its constants; no module-level cache keeps it alive
+    grid = build_grid("rectangle", [2.0, 1.0], [16, 8])
+    alive = weakref.ref(grid)
+    result = GRID_USES[use](grid, monkeypatch)
+    assert result is not None
+    del grid, result
+    gc.collect()
+    assert alive() is None

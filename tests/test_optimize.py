@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -476,6 +477,37 @@ for stand_in in (returns_input, raises):
 """
 
 
+#: a child that runs 64 restarts on criterion 7's rectangle at two forked
+#: workers, whatever CPUs it may use, and says when it starts them
+_KILLED_PARENT_CHILD = """
+import numpy as np
+from eigenweight import build_grid, decreasing_rearrangement, optimize
+
+optimize._usable_cpus = lambda: 2
+grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
+cls = decreasing_rearrangement(
+    np.where(np.arange(grid.n_cells) < 512, 1.0, -2.0), grid)
+print("started", flush=True)
+optimize.minimize_lambda1(cls, grid, restarts=64, solver="iterative")
+"""
+
+
+def _live_session_members(session: int) -> list:
+    """PIDs of the processes of a session that are not zombies, read from
+    /proc."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text()
+        except (OSError, ValueError):
+            continue
+        # after the command name: state, ppid, pgrp, session, ...
+        state, _, _, sid = stat[stat.rindex(")") + 2:].split()[:4]
+        if int(sid) == session and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
 class TestParallelRestarts:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     @pytest.mark.parametrize("restarts", [2, 8])
@@ -752,6 +784,43 @@ class TestParallelRestarts:
         # pickle ends the worker, so the call falls back inline
         assert out.splitlines() == ["raised PicklingError",
                                     "returned None"], out
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads sessions from /proc")
+    def test_workers_die_with_their_parent(self, tmp_path):
+        # the child runs in its own session, so its workers are found by
+        # session id once it is gone; any left are killed here
+        src = str(Path(optimize.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with open(tmp_path / "stderr", "w") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-c", _KILLED_PARENT_CHILD], env=env,
+                stdout=subprocess.PIPE, stderr=err, text=True,
+                start_new_session=True)
+        try:
+            assert child.stdout.readline() == "started\n"
+            deadline = time.monotonic() + 60
+            while (len(_live_session_members(child.pid)) < 3
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert len(_live_session_members(child.pid)) == 3
+            child.kill()
+            child.wait()
+            deadline = time.monotonic() + 5
+            while (_live_session_members(child.pid)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert _live_session_members(child.pid) == []
+        finally:
+            for pid in _live_session_members(child.pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        # a worker that finds its parent gone ends without a word
+        assert (tmp_path / "stderr").read_text() == ""
 
     def test_workers_inherit_one_blas_thread(self, monkeypatch):
         controls = _blas_thread_controls()

@@ -36,7 +36,6 @@ import eigenweight
 from eigenweight import spectral
 from eigenweight.grid import dct_eigenvalues, to_dct
 from eigenweight.optimize import _start_field
-from eigenweight.rearrange import _dealt_values
 from eigenweight.spectral import SOLVERS
 from oracles import (copied_dense_eigenpair, gemm_pencil, random_admissible,
                      two_phase_lambda1)
@@ -437,7 +436,7 @@ class TestDensePencil:
         grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
         n = grid.n_cells
         m = rough_bang_bang(grid, 0)
-        assemble_stiffness(grid)
+        grid.stiffness
         tracemalloc.start()
         try:
             spectral._dense_pencil(m)
@@ -456,7 +455,7 @@ class TestDensePencil:
         grid = build_grid("rectangle", [2.0, 1.0], [64, 32])
         n = grid.n_cells
         m = rough_bang_bang(grid, 0)
-        assemble_stiffness(grid)
+        grid.stiffness
         tracemalloc.start()
         try:
             solve(m)
@@ -503,7 +502,7 @@ class TestDctKernel:
         assert not np.shares_memory(out, work)
         assert not np.shares_memory(u, work)
         # the bytes of the same steps, each on a new array, via scipy.fft
-        scale = spectral._mode_scale(grid)
+        scale = grid.mode_scale
         q = grid.cell_measure * m.values
         v = scipy.fft.idctn(y.reshape(scale.shape) * scale,
                             norm="ortho").ravel()
@@ -523,22 +522,31 @@ class TestDctKernel:
 
     def test_cached_constants_are_read_only(self):
         grid = build_grid("rectangle", [2.0, 1.0], [8, 4])
-        values = np.where(np.arange(32) < 8, 1.0, -2.0)
-        cls = decreasing_rearrangement(values, grid)
-        constants = [dct_eigenvalues(grid), spectral._mode_scale(grid),
-                     spectral._start_vector(grid.n_cells),
-                     _dealt_values(cls, grid)]
+        K = grid.stiffness
+        constants = [K.data, K.indices, K.indptr, grid.spectrum,
+                     grid.mode_scale, spectral._start_vector(grid.n_cells)]
         for constant in constants:
             assert not constant.flags.writeable
-        # computed once: a second call returns the same array
-        assert spectral._mode_scale(grid) is constants[1]
-        assert spectral._start_vector(grid.n_cells) is constants[2]
-        assert _dealt_values(cls, grid) is constants[3]
-        np.testing.assert_array_equal(constants[3], cls.cell_values(grid))
-        # the optimizer's restart 0 starts from a writable copy of them
+        with pytest.raises(AttributeError):
+            grid.stiffness = K
+        # built once per grid: a second read is the same object, and
+        # another grid of the same domain builds its own
+        assert grid.stiffness is K
+        assert grid.spectrum is constants[3]
+        assert grid.mode_scale is constants[4]
+        assert spectral._start_vector(grid.n_cells) is constants[5]
+        twin = build_grid("rectangle", [2.0, 1.0], [8, 4])
+        assert twin.stiffness is not K
+        assert (twin.stiffness != K).nnz == 0
+        np.testing.assert_array_equal(grid.spectrum, dct_eigenvalues(grid))
+        np.testing.assert_array_equal(K.toarray(),
+                                      assemble_stiffness(grid).toarray())
+        # the optimizer's restart 0 starts from a writable field
+        values = np.where(np.arange(32) < 8, 1.0, -2.0)
+        cls = decreasing_rearrangement(values, grid)
         start = _start_field(cls, grid, 0, 0)
         assert start.flags.writeable
-        assert not np.shares_memory(start, constants[3])
+        np.testing.assert_array_equal(start, cls.cell_values(grid))
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.lists(st.integers(2, 7), min_size=1, max_size=3),
